@@ -78,7 +78,8 @@ pub fn tolerance_for(record_id: &str) -> Tolerance {
         // (exp/erf in the fault model, training nonlinearities) that a wider
         // band absorbs cross-platform last-ulp drift without ever masking a
         // flipped V_min (a grid step moves energies by far more than 0.5%).
-        "iso_accuracy" => Tolerance::band(5e-3, 1e-9),
+        // The Fig. 13-15 analyses (GOLDEN_SCALE) share that story.
+        "iso_accuracy" | "fig13" | "fig14" | "fig15" => Tolerance::band(5e-3, 1e-9),
         // Same reproducibility story as iso_accuracy, plus a two-epoch
         // fault-injected training loop whose float accumulation crosses far
         // more libm territory — a 1% band still cannot mask a flipped V_min
