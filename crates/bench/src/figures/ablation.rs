@@ -4,6 +4,7 @@
 use crate::record::{FigureRecord, RunScale, Series};
 use dante::accuracy::{AccuracyEvaluator, EccMode, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
+use dante::schedule::BoostPlan;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
@@ -12,7 +13,7 @@ use dante_dataflow::baselines::{
 };
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::alexnet_conv;
-use dante_energy::supply::{BoostedGroup, EnergyModel};
+use dante_energy::supply::EnergyModel;
 use dante_sram::ecc::word_failure_probability;
 
 /// ECC-vs-boosting ablation: accuracy of the FC-DNN across voltage for the
@@ -88,6 +89,7 @@ pub fn ablation_levels() -> FigureRecord {
     let macs = activity.total_macs();
     let target = Volt::new(0.48);
     let reference = energy.reference_energy_at_0v5(accesses, macs).joules();
+    let layers = activity.layers().len();
 
     let mut rec = FigureRecord::new(
         "ablation_levels",
@@ -109,10 +111,8 @@ pub fn ablation_levels() -> FigureRecord {
             let Some(level) = bank.min_level_reaching(vdd, target) else {
                 continue;
             };
-            let e = model
-                .dynamic_boosted(vdd, &[BoostedGroup { accesses, level }], macs)
-                .joules()
-                / reference;
+            let groups = BoostPlan::uniform(level, layers).boosted_groups(&activity);
+            let e = model.dynamic_boosted(vdd, &groups, macs).joules() / reference;
             pts.push((vdd.volts(), e));
         }
         let mean = pts.iter().map(|p| p.1).sum::<f64>() / pts.len() as f64;
@@ -183,9 +183,8 @@ pub fn ablation_dataflow() -> FigureRecord {
         let activity = df.activity(&wl);
         let accesses = activity.total_sram_accesses();
         let macs = activity.total_macs();
-        let boost = energy
-            .dynamic_boosted(vdd, &[BoostedGroup { accesses, level: 4 }], macs)
-            .joules();
+        let groups = BoostPlan::uniform(4, activity.layers().len()).boosted_groups(&activity);
+        let boost = energy.dynamic_boosted(vdd, &groups, macs).joules();
         let dual = energy.dynamic_dual(vddv, vdd, accesses, macs).joules();
         ratios.push((i as f64, activity.access_mac_ratio()));
         savings.push((i as f64, 1.0 - boost / dual));

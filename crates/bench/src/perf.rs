@@ -19,11 +19,12 @@
 //! headline generation speedup.
 
 use crate::json::Value;
-use dante::accuracy::{AccuracyEvaluator, ForwardPath, OverlaySampling, VoltageAssignment};
+use dante::accuracy::{AccuracyEvaluator, OverlaySampling, VoltageAssignment};
 use dante::artifacts::trained_mnist_fc;
 use dante_circuit::units::Volt;
 use dante_nn::network::Network;
 use dante_sim::observer::TrialObserver;
+use dante_sim::{derive_seed, site};
 use dante_sram::fault::VminFaultModel;
 use dante_sram::sparse::{SparseCell, SparseOverlay};
 use dante_sram::storage::FaultOverlay;
@@ -199,6 +200,9 @@ impl TrialObserver for StageCollector {
     }
 }
 
+/// Root seed of every timed evaluation.
+const STAGE_SEED: u64 = 0xC0DE;
+
 /// Mean per-trial duration of one evaluator stage, nanoseconds.
 fn mean_stage_ns(
     eval: &AccuracyEvaluator,
@@ -209,7 +213,7 @@ fn mean_stage_ns(
     labels: &[u8],
 ) -> f64 {
     let collector = StageCollector::new(stage);
-    let _ = eval.evaluate_observed(net, assignment, images, labels, 0xC0DE, &collector);
+    let _ = eval.evaluate_observed(net, assignment, images, labels, STAGE_SEED, &collector);
     let durations = collector.durations.into_inner().expect("mutex poisoned");
     assert!(
         !durations.is_empty(),
@@ -256,11 +260,12 @@ impl CorruptionBench {
 pub struct ForwardPassBench {
     /// The uniform evaluation voltage, volts.
     pub v_volts: f64,
-    /// Trials per forward path.
+    /// Trials timed on each path.
     pub trials: usize,
     /// Test images scored per trial.
     pub test_images: usize,
-    /// Mean scalar-path `"inference"` stage, nanoseconds.
+    /// Mean scalar-reference scoring time per trial (`Network::accuracy`
+    /// over the corrupted copies), nanoseconds.
     pub scalar_ns: f64,
     /// Mean trial-batched `"inference"` stage, nanoseconds.
     pub batched_ns: f64,
@@ -295,8 +300,11 @@ impl ForwardPassBench {
     }
 }
 
-/// Times the evaluator's `"inference"` stage under both forward paths at
-/// voltage `v` (sparse tail sampling, the production configuration).
+/// Times the evaluator's `"inference"` stage (the trial-batched path) and
+/// its scalar reference — [`Network::accuracy`] over each trial's
+/// corrupted weight and input copies, the same dies the evaluator draws —
+/// at voltage `v` (sparse tail sampling, the production configuration).
+/// Only the scoring is timed, never the corruption.
 ///
 /// The voltage sets how much the incremental path can skip: at the cliff
 /// (0.44 V) nearly every weight word is touched and the batched win is
@@ -312,18 +320,24 @@ pub fn forward_pass_bench(
 ) -> ForwardPassBench {
     let layers = net.weight_layer_indices().len();
     let assignment = VoltageAssignment::uniform(v, layers);
-    let stage_ns = |path| {
-        let eval = AccuracyEvaluator::new(trials)
-            .with_sampling(OverlaySampling::SparseTail)
-            .with_forward_path(path);
-        mean_stage_ns(&eval, "inference", net, &assignment, images, labels)
-    };
+    let eval = AccuracyEvaluator::new(trials).with_sampling(OverlaySampling::SparseTail);
+    let scalar_ns = (0..trials)
+        .map(|t| {
+            let trial_seed = derive_seed(STAGE_SEED, site::TRIAL, t as u64);
+            let corrupted = eval.corrupt_network(net, &assignment, trial_seed);
+            let inputs = eval.corrupt_inputs(images, assignment.inputs, trial_seed);
+            let start = Instant::now();
+            black_box(corrupted.accuracy(&inputs, labels));
+            start.elapsed().as_secs_f64() * 1e9
+        })
+        .sum::<f64>()
+        / trials as f64;
     ForwardPassBench {
         v_volts: v.volts(),
         trials,
         test_images: labels.len(),
-        scalar_ns: stage_ns(ForwardPath::Scalar),
-        batched_ns: stage_ns(ForwardPath::Batched),
+        scalar_ns,
+        batched_ns: mean_stage_ns(&eval, "inference", net, &assignment, images, labels),
     }
 }
 

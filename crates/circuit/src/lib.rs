@@ -50,7 +50,7 @@ pub mod macro_model;
 pub mod transient;
 pub mod units;
 
-pub use bic::{BoostConfig, BoostInputControl, BoostScheduler, CellDrive, ChipEnable, ClockPhase};
+pub use bic::{BoostConfig, BoostInputControl, CellDrive, ChipEnable, ClockPhase};
 pub use booster::{BoostLoad, BoostScope, BoosterBank, BoosterCell, MimCapacitor};
 pub use device::DeviceModel;
 pub use latency::SramTiming;

@@ -174,39 +174,6 @@ pub enum OverlaySampling {
     SparseTail,
 }
 
-/// Which forward-pass implementation scores each trial's corrupted network.
-///
-/// Both paths produce **bit-identical** [`AccuracyStats`]: the batched path
-/// uses the exact register-tiled kernels from `dante_nn::gemm` (same
-/// per-element fold order as the scalar `Matrix::matmul`) and an integer
-/// correct-count divided exactly as [`Network::accuracy`] divides. The
-/// differential suite in `tests/differential.rs` pins this; goldens never
-/// need re-blessing when switching paths. Because results are identical,
-/// the choice deliberately does **not** enter any sweep cache key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ForwardPath {
-    /// Per-trial `Network::accuracy` over the whole test set — the original
-    /// reference path, kept as the differential baseline.
-    Scalar,
-    /// Trial-batched incremental evaluation (`dante_nn::batched`): the clean
-    /// forward pass runs once per evaluation; each trial recomputes only the
-    /// images and layer outputs reachable from its flipped words.
-    #[default]
-    Batched,
-}
-
-impl ForwardPath {
-    /// Resolves the `DANTE_FORWARD` override (`"scalar"` forces the
-    /// reference path; anything else, or unset, selects [`Self::Batched`]).
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("DANTE_FORWARD") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => Self::Scalar,
-            _ => Self::Batched,
-        }
-    }
-}
-
 /// One quantized-and-packed bit image, prepared once per evaluation and
 /// reused read-only across all trials.
 #[derive(Debug, Clone, PartialEq)]
@@ -335,7 +302,7 @@ struct TrialScratch {
     inputs: Vec<f32>,
     touched: Vec<(usize, usize)>,
     bufs: OverlayBuffers,
-    /// Batched-path working buffers (unused on the scalar path).
+    /// Batched-path working buffers.
     batched: BatchedScratch,
     /// Sorted, deduped indices of test images with a flipped input word.
     dirty_images: Vec<usize>,
@@ -400,7 +367,6 @@ pub struct AccuracyEvaluator {
     trials: usize,
     ecc: EccMode,
     sampling: OverlaySampling,
-    forward: ForwardPath,
     engine: TrialEngine,
 }
 
@@ -423,7 +389,6 @@ impl AccuracyEvaluator {
             trials,
             ecc: EccMode::None,
             sampling: OverlaySampling::default(),
-            forward: ForwardPath::from_env(),
             engine: TrialEngine::from_env(),
         }
     }
@@ -488,21 +453,6 @@ impl AccuracyEvaluator {
     #[must_use]
     pub fn sampling(&self) -> OverlaySampling {
         self.sampling
-    }
-
-    /// Selects the forward-pass implementation (default: the env-resolved
-    /// [`ForwardPath::from_env`]). Results are bit-identical either way —
-    /// this only trades evaluation strategies.
-    #[must_use]
-    pub fn with_forward_path(mut self, forward: ForwardPath) -> Self {
-        self.forward = forward;
-        self
-    }
-
-    /// The forward-pass implementation in effect.
-    #[must_use]
-    pub fn forward_path(&self) -> ForwardPath {
-        self.forward
     }
 
     /// The fault-model spec in use, when the evaluator was configured with
@@ -1083,20 +1033,17 @@ impl AccuracyEvaluator {
         // corrupts only the touched words of a per-worker scratch copy and
         // undoes them afterwards, so steady-state trials allocate nothing.
         let prep = self.prepare(net, Some(images));
-        // On the batched path the clean forward pass (and its per-layer
-        // activation cache) is also shared read-only by every trial.
-        let cache = match self.forward {
-            ForwardPath::Scalar => None,
-            ForwardPath::Batched => Some(CleanForward::build(
-                &prep.clean_net,
-                &prep
-                    .inputs
-                    .as_ref()
-                    .expect("evaluation always prepares inputs")
-                    .clean,
-                labels,
-            )),
-        };
+        // The clean forward pass (and its per-layer activation cache) is
+        // also shared read-only by every trial.
+        let cache = CleanForward::build(
+            &prep.clean_net,
+            &prep
+                .inputs
+                .as_ref()
+                .expect("evaluation always prepares inputs")
+                .clean,
+            labels,
+        );
         let per_trial = self.engine.run_scratch_observed(
             trial_count,
             observer,
@@ -1111,10 +1058,7 @@ impl AccuracyEvaluator {
                 observer.on_stage("corrupt", corrupt_start.elapsed());
                 observer.on_fault_bits(trial, fault_bits);
                 let infer_start = Instant::now();
-                let accuracy = match &cache {
-                    None => scratch.net.accuracy(&scratch.inputs, labels),
-                    Some(cache) => Self::batched_accuracy(&prep, cache, labels, scratch),
-                };
+                let accuracy = Self::batched_accuracy(&prep, &cache, labels, scratch);
                 observer.on_stage("inference", infer_start.elapsed());
                 Self::undo_trial(&prep, scratch);
                 accuracy
@@ -1357,43 +1301,6 @@ mod tests {
         let eval = AccuracyEvaluator::new(1);
         let bad = VoltageAssignment::uniform(Volt::new(0.5), 3);
         let _ = eval.corrupt_network(&net, &bad, 0);
-    }
-
-    #[test]
-    fn batched_and_scalar_paths_are_bit_identical() {
-        let (net, images, labels) = toy_net_and_data();
-        for mv in [340_u32, 400, 440, 480, 540] {
-            let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), 2);
-            let scalar = AccuracyEvaluator::new(4)
-                .with_forward_path(ForwardPath::Scalar)
-                .evaluate(&net, &a, &images, &labels, 17);
-            let batched = AccuracyEvaluator::new(4)
-                .with_forward_path(ForwardPath::Batched)
-                .evaluate(&net, &a, &images, &labels, 17);
-            let sb: Vec<u64> = scalar.per_trial.iter().map(|a| a.to_bits()).collect();
-            let bb: Vec<u64> = batched.per_trial.iter().map(|a| a.to_bits()).collect();
-            assert_eq!(sb, bb, "paths diverge at {mv} mV");
-        }
-    }
-
-    #[test]
-    fn batched_path_handles_ecc_and_dense_sampling() {
-        let (net, images, labels) = toy_net_and_data();
-        let a = VoltageAssignment::uniform(Volt::new(0.42), 2);
-        for (ecc, sampling) in [
-            (EccMode::SecDed, OverlaySampling::SparseTail),
-            (EccMode::None, OverlaySampling::Dense),
-        ] {
-            let make = |fwd| {
-                AccuracyEvaluator::new(3)
-                    .with_ecc(ecc)
-                    .with_sampling(sampling)
-                    .with_forward_path(fwd)
-            };
-            let scalar = make(ForwardPath::Scalar).evaluate(&net, &a, &images, &labels, 23);
-            let batched = make(ForwardPath::Batched).evaluate(&net, &a, &images, &labels, 23);
-            assert_eq!(scalar, batched, "ecc={ecc:?} sampling={sampling:?}");
-        }
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! CIFAR-like set (see DESIGN.md for the substitution rationale).
 
 use crate::accuracy::{AccuracyEvaluator, VoltageAssignment};
+use crate::schedule::BoostPlan;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::{Dataflow, WorkloadActivity};
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::alexnet_conv;
-use dante_energy::supply::{BoostedGroup, EnergyModel};
+use dante_energy::supply::EnergyModel;
 use dante_nn::network::Network;
 use dante_sim::{derive_seed, site};
 
@@ -125,6 +126,18 @@ impl<'a> ConvExperiment<'a> {
         joules / reference
     }
 
+    /// Eq. 3 dynamic energy with every access boosted at `level`.
+    fn uniform_boost_energy(&self, vdd: Volt, level: usize) -> f64 {
+        let plan = BoostPlan::uniform(level, self.activity.layers().len());
+        self.energy
+            .dynamic_boosted(
+                vdd,
+                &plan.boosted_groups(&self.activity),
+                self.activity.total_macs(),
+            )
+            .joules()
+    }
+
     fn proxy_accuracy(&self, rail: Volt, seed: u64) -> f64 {
         let layers = self.proxy_net.weight_layer_indices().len();
         let assignment = VoltageAssignment::uniform(rail, layers);
@@ -146,10 +159,7 @@ impl<'a> ConvExperiment<'a> {
         let vddv = booster.boosted_voltage(vdd, level);
         let macs = self.activity.total_macs();
         let accesses = self.activity.total_sram_accesses();
-        let boost = self
-            .energy
-            .dynamic_boosted(vdd, &[BoostedGroup { accesses, level }], macs)
-            .joules();
+        let boost = self.uniform_boost_energy(vdd, level);
         let dual = self.energy.dynamic_dual(vddv, vdd, accesses, macs).joules();
         ConvPoint {
             vdd,
@@ -198,10 +208,7 @@ impl<'a> ConvExperiment<'a> {
             .filter_map(|&vdd| {
                 let level = booster.min_level_reaching(vdd, ISO_ACCURACY_TARGET_V)?;
                 let vddv = booster.boosted_voltage(vdd, level);
-                let boost = self
-                    .energy
-                    .dynamic_boosted(vdd, &[BoostedGroup { accesses, level }], macs)
-                    .joules();
+                let boost = self.uniform_boost_energy(vdd, level);
                 let dual = self.energy.dynamic_dual(vddv, vdd, accesses, macs).joules();
                 Some(IsoAccuracyPoint {
                     vdd,

@@ -1,13 +1,13 @@
 //! The paper's headline numbers, computed from the models — the abstract's
 //! summary claims, regenerated (see EXPERIMENTS.md for paper-vs-measured).
 
-use crate::schedule::BoostPlan;
+use crate::schedule::{BoostPlan, NamedBoostConfig};
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
 use dante_dataflow::fc_dana::DanaFcDataflow;
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::{alexnet_conv, mnist_fc};
-use dante_energy::supply::{BoostedGroup, EnergyModel};
+use dante_energy::supply::EnergyModel;
 
 /// The iso-accuracy target rail (Sec. 6.3).
 const TARGET_V: Volt = Volt::const_new(0.48);
@@ -43,20 +43,16 @@ pub fn compute() -> Headlines {
     let conv = RowStationaryDataflow::new().activity(&alexnet_conv());
     let conv_acc = conv.total_sram_accesses();
     let conv_macs = conv.total_macs();
+    let conv_boost = |vdd: Volt, level: usize| {
+        let plan = BoostPlan::uniform(level, conv.layers().len());
+        m.dynamic_boosted(vdd, &plan.boosted_groups(&conv), conv_macs)
+            .joules()
+    };
 
     // Peak savings vs dual: full boost at 0.40 V.
     let vdd = Volt::new(0.40);
     let vddv4 = booster.boosted_voltage(vdd, 4);
-    let boost4 = m
-        .dynamic_boosted(
-            vdd,
-            &[BoostedGroup {
-                accesses: conv_acc,
-                level: 4,
-            }],
-            conv_macs,
-        )
-        .joules();
+    let boost4 = conv_boost(vdd, 4);
     let dual4 = m.dynamic_dual(vddv4, vdd, conv_acc, conv_macs).joules();
     let alexnet_peak_savings_vs_dual = 1.0 - boost4 / dual4;
 
@@ -72,16 +68,7 @@ pub fn compute() -> Headlines {
             continue;
         };
         let vddv = booster.boosted_voltage(v, level);
-        let boost = m
-            .dynamic_boosted(
-                v,
-                &[BoostedGroup {
-                    accesses: conv_acc,
-                    level,
-                }],
-                conv_macs,
-            )
-            .joules();
+        let boost = conv_boost(v, level);
         let dual = m.dynamic_dual(vddv, v, conv_acc, conv_macs).joules();
         vs_dual.push(1.0 - boost / dual);
         vs_single.push(1.0 - boost / single_048);
@@ -106,7 +93,7 @@ pub fn compute() -> Headlines {
 
     // MNIST FC: full-boost plan vs dual at 0.40 V.
     let fc = DanaFcDataflow::new().activity(&mnist_fc());
-    let plan = BoostPlan::from_named_uniform(4, 4, &booster, vdd);
+    let plan = BoostPlan::from_named(NamedBoostConfig::Vddv4, 4, &booster, vdd);
     let boost_fc = m
         .dynamic_boosted(vdd, &plan.boosted_groups(&fc), fc.total_macs())
         .joules();

@@ -8,7 +8,7 @@
 //! configurations and the Fig. 15 operating points.
 
 use crate::accuracy::AccuracyEvaluator;
-use crate::schedule::BoostPlan;
+use crate::schedule::{input_target_level, BoostPlan};
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::WorkloadActivity;
@@ -115,6 +115,7 @@ impl PolicyOptimizer {
             "activity layer count mismatches the network"
         );
         let p = self.booster().levels();
+        let input_level = input_target_level(self.booster(), vdd);
         // Every candidate plan is scored under the same derived seed —
         // paired comparisons (common random numbers), so greedy decisions
         // compare plans on identical fault dies instead of die-to-die noise.
@@ -123,7 +124,7 @@ impl PolicyOptimizer {
         // Phase 1: lowest uniform level that meets the target.
         let mut base_level = None;
         for level in 0..=p {
-            let plan = BoostPlan::from_named_uniform(level, layers, self.booster(), vdd);
+            let plan = BoostPlan::new(vec![level; layers], input_level);
             let acc = self.accuracy_of(net, &plan, vdd, images, labels, seed);
             if acc >= self.target_accuracy {
                 base_level = Some(level);
@@ -137,7 +138,7 @@ impl PolicyOptimizer {
         for layer in (0..layers).rev() {
             while levels[layer] > 0 {
                 levels[layer] -= 1;
-                let plan = BoostPlan::with_input_target(levels.clone(), self.booster(), vdd);
+                let plan = BoostPlan::new(levels.clone(), input_level);
                 let acc = self.accuracy_of(net, &plan, vdd, images, labels, seed);
                 if acc < self.target_accuracy {
                     levels[layer] += 1;
@@ -146,7 +147,7 @@ impl PolicyOptimizer {
             }
         }
 
-        let plan = BoostPlan::with_input_target(levels, self.booster(), vdd);
+        let plan = BoostPlan::new(levels, input_level);
         let accuracy = self.accuracy_of(net, &plan, vdd, images, labels, seed);
         let dynamic_energy = self.energy_of(&plan, vdd, activity);
         Some(OptimizedPlan {
@@ -157,36 +158,10 @@ impl PolicyOptimizer {
     }
 }
 
-impl BoostPlan {
-    /// A uniform plan with the paper's input-target rule.
-    #[must_use]
-    pub fn from_named_uniform(
-        level: usize,
-        layers: usize,
-        booster: &BoosterBank,
-        vdd: Volt,
-    ) -> Self {
-        Self::with_input_target(vec![level; layers], booster, vdd)
-    }
-
-    /// A plan with explicit weight levels and the input level derived from
-    /// the paper's 0.44 V input-target rule.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight_levels` is empty.
-    #[must_use]
-    pub fn with_input_target(weight_levels: Vec<usize>, booster: &BoosterBank, vdd: Volt) -> Self {
-        let input_level = booster
-            .min_level_reaching(vdd, crate::schedule::INPUT_TARGET)
-            .unwrap_or(booster.levels());
-        Self::new(weight_levels, input_level)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::NamedBoostConfig;
     use dante_dataflow::activity::{LayerActivity, WorkloadActivity};
     use dante_nn::layers::{Dense, Layer, Relu};
     use rand::rngs::StdRng;
@@ -271,7 +246,12 @@ mod tests {
         let result = opt
             .optimize(&net, &activity, vdd, &images, &labels, 13)
             .unwrap();
-        let full = BoostPlan::from_named_uniform(4, 2, EnergyModel::dante_chip().booster(), vdd);
+        let full = BoostPlan::from_named(
+            NamedBoostConfig::Vddv4,
+            2,
+            EnergyModel::dante_chip().booster(),
+            vdd,
+        );
         let full_energy = EnergyModel::dante_chip()
             .dynamic_boosted(vdd, &full.boosted_groups(&activity), activity.total_macs())
             .joules();

@@ -1,10 +1,16 @@
 //! Boost schedules: the paper's Table 2 configurations and their mapping to
 //! rail voltages, accelerator schedules, and energy-accounting groups.
+//!
+//! [`BoostPlan`] is the one place a boost choice becomes rails
+//! ([`VoltageAssignment`]s) and Eq. 3 [`BoostedGroup`]s: every supply, sweep,
+//! experiment and policy search builds one through [`BoostPlan::uniform`],
+//! [`BoostPlan::from_named`] or [`BoostPlan::last_k`].
 
 use crate::accuracy::VoltageAssignment;
 use dante_circuit::booster::BoosterBank;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::WorkloadActivity;
+use dante_energy::params::DANTE_BANKS;
 use dante_energy::supply::BoostedGroup;
 
 /// The minimum rail voltage the paper requires for input/intermediate data
@@ -117,6 +123,20 @@ impl BoostPlan {
         }
     }
 
+    /// Every weight layer and the input memory at one `level`: the
+    /// paper's global boost configuration.
+    ///
+    /// Its [`Self::boosted_groups`] is the single group holding every SRAM
+    /// access of the workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is zero.
+    #[must_use]
+    pub fn uniform(level: usize, layers: usize) -> Self {
+        Self::new(vec![level; layers], level)
+    }
+
     /// Builds a Table 2 plan: the named weight levels plus the
     /// minimum input level whose rail reaches [`INPUT_TARGET`] at `vdd`
     /// (full boost if even that falls short).
@@ -127,10 +147,52 @@ impl BoostPlan {
         booster: &BoosterBank,
         vdd: Volt,
     ) -> Self {
-        let input_level = booster
-            .min_level_reaching(vdd, INPUT_TARGET)
-            .unwrap_or(booster.levels());
-        Self::new(config.weight_levels(layers, booster.levels()), input_level)
+        Self::new(
+            config.weight_levels(layers, booster.levels()),
+            input_target_level(booster, vdd),
+        )
+    }
+
+    /// Per-bank boost of the last `k` (fault-critical) layers of a
+    /// `layers`-layer network: the paper's Boost Input Control programmed
+    /// bank by bank instead of globally.
+    ///
+    /// Layers are striped round-robin over the chip's [`DANTE_BANKS`]
+    /// banks (`bank = layer mod N`). Every bank holding one of the last `k`
+    /// layers is boosted at `level`, so a layer sharing such a bank rides
+    /// along; all other banks, and the input memory, stay at level 0 and
+    /// pay no boost energy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layers` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use dante::schedule::BoostPlan;
+    ///
+    /// // Four layers on 18 banks, the last one critical at level 2.
+    /// let plan = BoostPlan::last_k(2, 1, 4);
+    /// assert_eq!(plan.weight_levels(), &[0, 0, 0, 2]);
+    /// assert_eq!(plan.input_level(), 0);
+    /// ```
+    #[must_use]
+    pub fn last_k(level: usize, k: usize, layers: usize) -> Self {
+        let mut critical = [false; DANTE_BANKS];
+        for layer in layers.saturating_sub(k)..layers {
+            critical[layer % DANTE_BANKS] = true;
+        }
+        let levels = (0..layers)
+            .map(|layer| {
+                if critical[layer % DANTE_BANKS] {
+                    level
+                } else {
+                    0
+                }
+            })
+            .collect();
+        Self::new(levels, 0)
     }
 
     /// Per-layer weight levels.
@@ -176,7 +238,8 @@ impl BoostPlan {
 
     /// Splits a workload's activity into the per-level access groups of the
     /// paper's Eq. 3: weight accesses at each layer's level, input and
-    /// output accesses at the input-memory level.
+    /// output accesses at the input-memory level. Groups appear in the
+    /// order their level is first seen.
     ///
     /// # Panics
     ///
@@ -208,6 +271,14 @@ impl BoostPlan {
         }
         groups
     }
+}
+
+/// The paper's one input-target rule: the lowest level whose rail reaches
+/// [`INPUT_TARGET`] at `vdd`, or full boost if even that falls short.
+pub(crate) fn input_target_level(booster: &BoosterBank, vdd: Volt) -> usize {
+    booster
+        .min_level_reaching(vdd, INPUT_TARGET)
+        .unwrap_or(booster.levels())
 }
 
 #[cfg(test)]
@@ -305,6 +376,55 @@ mod tests {
         }
         let one = NamedBoostConfig::Diff2.weight_levels(1, 4);
         assert_eq!(one, vec![4]);
+    }
+
+    #[test]
+    fn uniform_plan_is_one_group_of_every_access() {
+        let activity = DanaFcDataflow::new().activity(&mnist_fc());
+        let plan = BoostPlan::uniform(3, activity.layers().len());
+        assert_eq!(plan.input_level(), 3);
+        assert_eq!(
+            plan.boosted_groups(&activity),
+            vec![BoostedGroup {
+                accesses: activity.total_sram_accesses(),
+                level: 3,
+            }]
+        );
+    }
+
+    #[test]
+    fn last_k_striping_wraps_past_the_chip_banks() {
+        // 20 layers on 18 banks: layer 19 sits on bank 1 with layer 1.
+        let plan = BoostPlan::last_k(3, 1, 20);
+        let boosted: Vec<usize> = (0..20).filter(|&l| plan.weight_levels()[l] > 0).collect();
+        assert_eq!(boosted, vec![1, 19]);
+        assert_eq!(plan.weight_levels()[19], 3);
+    }
+
+    #[test]
+    fn last_k_boosts_layers_sharing_a_critical_bank() {
+        // Layers 18 and 19 are critical; layers 0 and 1 share their banks
+        // and ride along, every other bank stays unboosted.
+        let plan = BoostPlan::last_k(2, 2, 20);
+        let mut expected = vec![0; 20];
+        for l in [0, 1, 18, 19] {
+            expected[l] = 2;
+        }
+        assert_eq!(plan.weight_levels(), expected.as_slice());
+    }
+
+    #[test]
+    fn last_k_at_or_past_the_layer_count_boosts_every_layer() {
+        assert_eq!(BoostPlan::last_k(4, 5, 5).weight_levels(), &[4; 5]);
+        assert_eq!(BoostPlan::last_k(4, 64, 5).weight_levels(), &[4; 5]);
+        assert_eq!(BoostPlan::last_k(4, 0, 5).weight_levels(), &[0; 5]);
+    }
+
+    #[test]
+    fn last_k_leaves_the_input_memory_unboosted() {
+        for (k, layers) in [(1, 4), (3, 20), (64, 5)] {
+            assert_eq!(BoostPlan::last_k(3, k, layers).input_level(), 0);
+        }
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! `row` meaning output column (dense) or output channel (conv).
 
 use crate::differential::{ddmin, WeightRow};
+use dante::accuracy::{AccuracyEvaluator, AccuracyStats, VoltageAssignment};
 use dante_circuit::units::Volt;
 use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, LayerWork};
 use dante_nn::layers::Layer;
@@ -439,6 +440,38 @@ pub fn run_forward_differential(
         trials: config.trials,
         divergences,
     }
+}
+
+/// The scalar reference for [`AccuracyEvaluator::evaluate`]: trial `t`
+/// corrupts a copy of the weights with
+/// [`AccuracyEvaluator::corrupt_network`] and a copy of the test inputs
+/// with [`AccuracyEvaluator::corrupt_inputs`] at `assignment.inputs`, both
+/// under `derive_seed(seed, site::TRIAL, t)`, and scores them with
+/// [`Network::accuracy`] — every image walked through every layer, no
+/// cached clean activations. The evaluator's trial-batched incremental
+/// path must match it bit for bit under every sampler and ECC mode.
+///
+/// # Panics
+///
+/// Panics on inconsistent buffer lengths or a mismatched assignment.
+#[must_use]
+pub fn scalar_evaluate(
+    eval: &AccuracyEvaluator,
+    net: &Network,
+    assignment: &VoltageAssignment,
+    images: &[f32],
+    labels: &[u8],
+    seed: u64,
+) -> AccuracyStats {
+    let per_trial = (0..eval.trials())
+        .map(|t| {
+            let trial_seed = derive_seed(seed, site::TRIAL, t as u64);
+            let corrupted = eval.corrupt_network(net, assignment, trial_seed);
+            let inputs = eval.corrupt_inputs(images, assignment.inputs, trial_seed);
+            corrupted.accuracy(&inputs, labels)
+        })
+        .collect();
+    AccuracyStats { per_trial }
 }
 
 /// Shrinks the corruption of `corrupted` (relative to `clean`) to a

@@ -12,7 +12,8 @@
 //! * [`forward`] — the trial-batched incremental forward evaluator
 //!   (`dante_nn::batched`) checked against the scalar `Network::accuracy`
 //!   path under identical fault-corrupted weights and inputs, with the same
-//!   ddmin shrink reused at weight-unit granularity.
+//!   ddmin shrink reused at weight-unit granularity; [`scalar_evaluate`]
+//!   is the scalar reference for the whole Monte-Carlo evaluator.
 //! * [`golden`] — snapshot testing of every deterministic `dante-bench`
 //!   figure/table record against blessed JSON in `results/golden/`, with
 //!   per-metric tolerance bands, paper-anchored point checks, a unified
@@ -46,7 +47,7 @@ pub use differential::{
 };
 pub use forward::{
     apply_units, check_batched, corrupt_inputs, corrupt_weights, corrupted_units, minimize_units,
-    run_forward_differential, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,
+    run_forward_differential, scalar_evaluate, ForwardCheck, ForwardDiffConfig, ForwardDiffReport,
     ForwardDivergence,
 };
 pub use golden::{

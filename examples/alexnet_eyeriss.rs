@@ -8,11 +8,12 @@
 //!
 //! Run with: `cargo run --release --example alexnet_eyeriss`
 
+use dante::schedule::BoostPlan;
 use dante_circuit::units::Volt;
 use dante_dataflow::activity::Dataflow;
 use dante_dataflow::row_stationary::RowStationaryDataflow;
 use dante_dataflow::workloads::alexnet_conv;
-use dante_energy::supply::{BoostedGroup, EnergyModel};
+use dante_energy::supply::EnergyModel;
 
 fn main() {
     let workload = alexnet_conv();
@@ -51,8 +52,9 @@ fn main() {
         let vdd = Volt::new(f64::from(mv) / 100.0);
         for level in 1..=4 {
             let vddv = energy.vddv(vdd, level);
+            let plan = BoostPlan::uniform(level, activity.layers().len());
             let boost = energy
-                .dynamic_boosted(vdd, &[BoostedGroup { accesses, level }], macs)
+                .dynamic_boosted(vdd, &plan.boosted_groups(&activity), macs)
                 .joules();
             let dual = energy.dynamic_dual(vddv, vdd, accesses, macs).joules();
             println!(

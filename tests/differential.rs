@@ -12,7 +12,7 @@ use dante_nn::network::Network;
 use dante_verify::differential::{
     corrupt_program, minimize_corruption, run_differential, DiffConfig,
 };
-use dante_verify::forward::ForwardDiffConfig;
+use dante_verify::forward::{scalar_evaluate, ForwardDiffConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -248,13 +248,20 @@ fn batched_forward_agrees_with_scalar_across_voltages() {
     }
 }
 
+/// Per-trial accuracy bits: the evaluator and its scalar reference must
+/// agree on every one, not just on the mean.
+fn trial_bits(stats: &dante::AccuracyStats) -> Vec<u64> {
+    stats.per_trial.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn evaluator_forward_paths_agree_bitwise_across_voltages_and_samplers() {
     // The end-to-end guarantee the sweep/iso/fleet stack rides on: the
-    // Monte-Carlo evaluator's per-trial accuracies are bit-identical under
-    // ForwardPath::Scalar and ForwardPath::Batched for every voltage,
-    // sampling strategy, and ECC mode.
-    use dante::{AccuracyEvaluator, EccMode, ForwardPath, OverlaySampling, VoltageAssignment};
+    // Monte-Carlo evaluator's trial-batched per-trial accuracies are
+    // bit-identical to the scalar reference (`scalar_evaluate`: corrupted
+    // copies scored by `Network::accuracy`) for every voltage, sampling
+    // strategy, and ECC mode.
+    use dante::{AccuracyEvaluator, EccMode, OverlaySampling, VoltageAssignment};
 
     let mut rng = StdRng::seed_from_u64(77);
     let net = Network::new(vec![
@@ -272,19 +279,83 @@ fn evaluator_forward_paths_agree_bitwise_across_voltages_and_samplers() {
             (EccMode::None, OverlaySampling::Dense),
             (EccMode::SecDed, OverlaySampling::SparseTail),
         ] {
-            let run = |fwd| {
-                AccuracyEvaluator::new(3)
-                    .with_ecc(ecc)
-                    .with_sampling(sampling)
-                    .with_forward_path(fwd)
-                    .evaluate(&net, &a, &images, &labels, u64::from(mv))
-            };
-            let scalar = run(ForwardPath::Scalar);
-            let batched = run(ForwardPath::Batched);
-            let sb: Vec<u64> = scalar.per_trial.iter().map(|x| x.to_bits()).collect();
-            let bb: Vec<u64> = batched.per_trial.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(sb, bb, "{mv} mV ecc={ecc:?} sampling={sampling:?}");
+            let eval = AccuracyEvaluator::new(3)
+                .with_ecc(ecc)
+                .with_sampling(sampling);
+            let seed = u64::from(mv);
+            let batched = eval.evaluate(&net, &a, &images, &labels, seed);
+            let scalar = scalar_evaluate(&eval, &net, &a, &images, &labels, seed);
+            assert_eq!(
+                trial_bits(&scalar),
+                trial_bits(&batched),
+                "{mv} mV ecc={ecc:?} sampling={sampling:?}"
+            );
         }
+    }
+}
+
+/// The 6-12-2 toy network trained on an 80-sample two-class set: a real
+/// decision boundary, so faults move accuracy rather than a random net's
+/// chance level.
+fn trained_toy_net_and_data() -> (Network, Vec<f32>, Vec<u8>) {
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut net = Network::new(vec![
+        Layer::Dense(Dense::new(6, 12, &mut rng)),
+        Layer::Relu(Relu::new(12)),
+        Layer::Dense(Dense::new(12, 2, &mut rng)),
+    ])
+    .unwrap();
+    let mut images = Vec::new();
+    let mut labels = Vec::new();
+    for i in 0..80 {
+        let c = (i % 2) as u8;
+        let base = if c == 0 { 0.75 } else { 0.15 };
+        for j in 0..6 {
+            images.push(base + ((i + j) % 7) as f32 * 0.02);
+        }
+        labels.push(c);
+    }
+    let cfg = dante_nn::train::SgdConfig {
+        epochs: 20,
+        batch_size: 8,
+        ..Default::default()
+    };
+    dante_nn::train::train(&mut net, &images, &labels, &cfg, &mut rng);
+    (net, images, labels)
+}
+
+#[test]
+fn evaluator_matches_the_scalar_reference_on_a_trained_network() {
+    use dante::{AccuracyEvaluator, VoltageAssignment};
+
+    let (net, images, labels) = trained_toy_net_and_data();
+    let eval = AccuracyEvaluator::new(4);
+    for mv in [340_u32, 400, 440, 480, 540] {
+        let a = VoltageAssignment::uniform(Volt::from_millivolts(f64::from(mv)), 2);
+        let batched = eval.evaluate(&net, &a, &images, &labels, 17);
+        let scalar = scalar_evaluate(&eval, &net, &a, &images, &labels, 17);
+        assert_eq!(trial_bits(&scalar), trial_bits(&batched), "{mv} mV");
+    }
+}
+
+#[test]
+fn evaluator_matches_the_scalar_reference_under_ecc_and_dense_sampling() {
+    use dante::{AccuracyEvaluator, EccMode, OverlaySampling, VoltageAssignment};
+
+    let (net, images, labels) = trained_toy_net_and_data();
+    let a = VoltageAssignment::uniform(Volt::new(0.42), 2);
+    for (ecc, sampling) in [
+        (EccMode::SecDed, OverlaySampling::SparseTail),
+        (EccMode::None, OverlaySampling::Dense),
+    ] {
+        let eval = AccuracyEvaluator::new(3)
+            .with_ecc(ecc)
+            .with_sampling(sampling);
+        assert_eq!(
+            scalar_evaluate(&eval, &net, &a, &images, &labels, 23),
+            eval.evaluate(&net, &a, &images, &labels, 23),
+            "ecc={ecc:?} sampling={sampling:?}"
+        );
     }
 }
 
