@@ -264,8 +264,9 @@ pub struct ForwardPassBench {
     pub trials: usize,
     /// Test images scored per trial.
     pub test_images: usize,
-    /// Mean scalar-reference scoring time per trial (`Network::accuracy`
-    /// over the corrupted copies), nanoseconds.
+    /// Mean unbatched scoring time per trial (`Network::accuracy` over the
+    /// corrupted copies: every image through every layer, dense layers on
+    /// the same exact GEMM kernel), nanoseconds.
     pub scalar_ns: f64,
     /// Mean trial-batched `"inference"` stage, nanoseconds.
     pub batched_ns: f64,
@@ -301,7 +302,7 @@ impl ForwardPassBench {
 }
 
 /// Times the evaluator's `"inference"` stage (the trial-batched path) and
-/// its scalar reference — [`Network::accuracy`] over each trial's
+/// its unbatched counterpart — [`Network::accuracy`] over each trial's
 /// corrupted weight and input copies, the same dies the evaluator draws —
 /// at voltage `v` (sparse tail sampling, the production configuration).
 /// Only the scoring is timed, never the corruption.

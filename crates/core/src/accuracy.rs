@@ -174,16 +174,19 @@ pub enum OverlaySampling {
     SparseTail,
 }
 
-/// One quantized-and-packed bit image, prepared once per evaluation and
-/// reused read-only across all trials.
+/// One quantized bit image, prepared once per evaluation and reused
+/// read-only across all trials. SRAM word `w` holds lanes
+/// `w * lanes .. (w + 1) * lanes` of `codes` (lane 0 in the low bits, the
+/// `ScaledTensor::to_packed_words` layout); a fault's per-word flip mask is
+/// applied to those lanes directly, so the words are never materialized.
 #[derive(Debug, Clone, PartialEq)]
 struct PackedImage {
     scale: f32,
     bits: u8,
     bit_len: usize,
     len: usize,
-    /// Clean packed SRAM words (never mutated; corruption XORs on the fly).
-    words: Vec<u64>,
+    /// Clean lane codes (never mutated; corruption XORs on the fly).
+    codes: Vec<u16>,
     /// Clean dequantized values (the undo source for flipped words).
     clean: Vec<f32>,
 }
@@ -196,7 +199,7 @@ impl PackedImage {
             bits: tensor.bits(),
             bit_len: tensor.bit_len(),
             len: tensor.len(),
-            words: tensor.to_packed_words(),
+            codes: tensor.codes().to_vec(),
             clean: tensor.to_f32(),
         }
     }
@@ -206,11 +209,18 @@ impl PackedImage {
         64 / usize::from(self.bits)
     }
 
-    /// Dequantizes every lane of (corrupted) `word` into the value buffer —
-    /// the same sign-extend-and-scale as `ScaledTensor::to_f32`, applied to
-    /// only the lanes a fault actually touched.
+    /// SRAM words the image occupies (the last one zero-padded).
     #[inline]
-    fn dequant_word_into(&self, w: usize, word: u64, out: &mut [f32]) {
+    fn word_len(&self) -> usize {
+        self.len.div_ceil(self.lanes())
+    }
+
+    /// Dequantizes every lane of word `w`, with the bit flips `flips`
+    /// applied, into the value buffer — the same sign-extend-and-scale as
+    /// `ScaledTensor::to_f32`, applied to only the lanes a fault actually
+    /// touched. Flips in the padding lanes past the end are dropped.
+    #[inline]
+    fn corrupt_word_into(&self, w: usize, flips: u64, out: &mut [f32]) {
         let lanes = self.lanes();
         let bits = u32::from(self.bits);
         let shift = 16 - bits;
@@ -221,7 +231,7 @@ impl PackedImage {
             if e >= self.len {
                 break;
             }
-            let raw = ((word >> (bits * lane as u32)) & mask) as u16;
+            let raw = self.codes[e] ^ ((flips >> (bits * lane as u32)) & mask) as u16;
             let code = i32::from((raw << shift) as i16 >> shift);
             out[e] = code as f32 * self.scale;
         }
@@ -558,7 +568,7 @@ impl AccuracyEvaluator {
         touched: &mut Vec<(usize, usize)>,
         bufs: &mut OverlayBuffers,
     ) -> u64 {
-        let word_len = image.words.len();
+        let word_len = image.word_len();
         let mut flipped = 0u64;
         match self.ecc {
             EccMode::None => match (self.sampling, die.as_gaussian()) {
@@ -577,7 +587,7 @@ impl AccuracyEvaluator {
                         &mut bufs.cells,
                         |w, mask| {
                             flipped += u64::from(mask.count_ones());
-                            image.dequant_word_into(w, image.words[w] ^ mask, values);
+                            image.corrupt_word_into(w, mask, values);
                             touched.push((target, w));
                         },
                     );
@@ -587,7 +597,7 @@ impl AccuracyEvaluator {
                     for (w, c) in overlay.corruption_iter(v).enumerate() {
                         if c != 0 {
                             flipped += u64::from(c.count_ones());
-                            image.dequant_word_into(w, image.words[w] ^ c, values);
+                            image.corrupt_word_into(w, c, values);
                             touched.push((target, w));
                         }
                     }
@@ -616,7 +626,7 @@ impl AccuracyEvaluator {
                 for (w, &c) in bufs.corruption.iter().enumerate() {
                     if c != 0 {
                         flipped += u64::from(c.count_ones());
-                        image.dequant_word_into(w, image.words[w] ^ c, values);
+                        image.corrupt_word_into(w, c, values);
                         touched.push((target, w));
                     }
                 }
@@ -841,10 +851,37 @@ impl AccuracyEvaluator {
         assignment: &VoltageAssignment,
         trial_seed: u64,
     ) -> Network {
-        let prep = self.prepare(net, None);
-        let mut scratch = TrialScratch::new(&prep);
-        let _ = self.corrupt_trial(&prep, assignment, trial_seed, &mut scratch);
-        scratch.net
+        let indices = net.weight_layer_indices();
+        assert_eq!(
+            indices.len(),
+            assignment.weight_layers.len(),
+            "assignment covers {} layers, network has {}",
+            assignment.weight_layers.len(),
+            indices.len()
+        );
+        // The same die, per-layer seeds and layer order as `corrupt_trial`,
+        // written straight into one copy of the network: nothing is kept
+        // for undo, so no second clean copy is needed.
+        let die = self.fault_model.resolve_die(trial_seed);
+        let mut corrupted = net.clone();
+        let (mut touched, mut bufs) = (Vec::new(), OverlayBuffers::default());
+        for (pos, &idx) in indices.iter().enumerate() {
+            let values = weight_slice_mut(&mut corrupted, idx);
+            let image = PackedImage::build(&self.weight_quantizer, values);
+            values.copy_from_slice(&image.clean);
+            let _ = self.corrupt_image(
+                &die,
+                &image,
+                pos,
+                assignment.weight_layers[pos],
+                derive_seed(trial_seed, site::WEIGHT_LAYER, pos as u64),
+                values,
+                &mut touched,
+                &mut bufs,
+            );
+            touched.clear();
+        }
+        corrupted
     }
 
     /// Returns a corrupted copy of a test-image buffer at the inputs

@@ -485,6 +485,58 @@ impl HardenedNetwork {
 mod tests {
     use super::*;
 
+    /// Training bits pinned where the artifact cache cannot hide them: a
+    /// small MNIST FC-DNN trained in-process, once with plain `train` and
+    /// once through a real 460 mV `corrupt_network` hook, must reproduce
+    /// the FNV-1a digests of `Network::to_bytes` that training with the
+    /// naive `Matrix` products gives.
+    #[test]
+    fn in_process_training_reproduces_pinned_weight_digests() {
+        use dante_nn::data::generate_mnist_like;
+        use dante_nn::models::mnist_fc_dnn;
+        use dante_nn::train::train;
+
+        let fnv = |net: &Network| {
+            net.to_bytes()
+                .iter()
+                .fold(0xCBF2_9CE4_8422_2325u64, |h, &b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+                })
+        };
+        let data = generate_mnist_like(99, 1);
+        let config = SgdConfig {
+            epochs: 2,
+            batch_size: RETRAIN_BATCH,
+            ..SgdConfig::default()
+        };
+        let fresh = || {
+            let mut rng = StdRng::seed_from_u64(0x7E57);
+            (mnist_fc_dnn(&mut rng), rng)
+        };
+
+        let (mut plain, mut rng) = fresh();
+        let _ = train(&mut plain, data.images(), data.labels(), &config, &mut rng);
+
+        let (mut hardened, mut rng) = fresh();
+        let corruptor = AccuracyEvaluator::new(1);
+        let assignment = VoltageAssignment::uniform(Volt::from_millivolts(460.0), 4);
+        let _ = train_fault_injected(
+            &mut hardened,
+            data.images(),
+            data.labels(),
+            &config,
+            &mut rng,
+            |epoch, clean| Some(corruptor.corrupt_network(clean, &assignment, epoch as u64)),
+            |_| (),
+        );
+
+        // 99 images leave a ragged last batch of 3, which runs the two- and
+        // one-row kernel paths.
+        let got = (fnv(&plain), fnv(&hardened));
+        let pinned = (0xbac0_d4bb_cda8_e11c, 0xf190_c799_0026_74dd);
+        assert_eq!(got, pinned, "training bits moved: {got:#x?}");
+    }
+
     #[test]
     fn canonical_string_prefix_and_fields() {
         let spec = RetrainSpec::toy_default();

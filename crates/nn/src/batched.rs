@@ -16,7 +16,7 @@
 //! * trials that touch nothing return the cached clean correct-count for
 //!   free.
 //!
-//! Everything is **bit-identical** to the scalar
+//! Everything is **bit-identical** to the unbatched
 //! [`Network::accuracy`] path: the dense kernels are the exact register-tiled
 //! rewrites from [`crate::gemm`], per-image results are independent of batch
 //! grouping (every layer computes each output element from a single sample),
@@ -29,7 +29,7 @@ use crate::layers::{Conv2d, Layer};
 use crate::network::Network;
 use crate::tensor::argmax;
 
-/// Mirror of the scalar path's internal evaluation chunk
+/// Mirror of the unbatched path's internal evaluation chunk
 /// ([`Network::accuracy`] batches 256 images at a time). Equality of results
 /// does not depend on this (per-image bits are grouping-independent), but
 /// matching it keeps cache behaviour comparable.

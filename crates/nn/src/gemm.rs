@@ -1,22 +1,31 @@
-//! Blocked/unrolled GEMM kernels for the trial-batched forward pass.
+//! Blocked/unrolled GEMM kernels for the trial-batched forward pass and
+//! training.
 //!
 //! Two families live here:
 //!
 //! * **Bit-exact `f32` kernels** ([`matmul_exact_into`], [`dense_cols_into`])
-//!   used by [`crate::batched`]. These are register-tiled rewrites of
+//!   used by [`crate::batched`] and by every dense product of
+//!   [`Dense`](crate::layers::Dense): the forward pass (and so
+//!   `Network::forward`/`accuracy`) and both backward products of training,
+//!   `dx = dY * W^T` and `dw = X^T * dY` over explicit transposes. These are
+//!   register-tiled rewrites of
 //!   [`Matrix::matmul`](crate::tensor::Matrix::matmul) that produce *the same
-//!   bits* for every output element, so the trial-batched evaluator can swap
-//!   them in under golden-pinned accuracy statistics. Exactness rests on the
-//!   per-element contract of `Matrix::matmul`: each `out[i][j]` is a single
-//!   `f32` accumulator starting at `+0.0`, folded over `k` in ascending
-//!   order, skipping terms whose left operand is `±0.0`. Register tiling
-//!   changes which *elements* are in flight together but never the per-element
-//!   fold order, and skipping a `±0.0` product is bit-identical to adding it
-//!   (the accumulator can never be `-0.0`: it starts at `+0.0` and IEEE-754
-//!   addition only produces `-0.0` from `-0.0 + -0.0` or exact negative
-//!   cancellation in rounding modes other than round-to-nearest). Weights and
-//!   activations are finite throughout the pipeline, which the argument
-//!   assumes.
+//!   bits* for every output element, so the trial-batched evaluator and the
+//!   SGD loop can swap them in under golden-pinned accuracy statistics and
+//!   byte-identical trained weights. `Matrix::matmul` and
+//!   `Matrix::matmul_transposed` keep their naive loops as the reference.
+//!   Exactness rests on the per-element contract of `Matrix::matmul`: each
+//!   `out[i][j]` is a single `f32` accumulator starting at `+0.0`, folded
+//!   over `k` in ascending order, skipping terms whose left operand is
+//!   `±0.0`. Register tiling changes which *elements* are in flight together
+//!   but never the per-element fold order, and skipping a `±0.0` product is
+//!   bit-identical to adding it (the accumulator can never be `-0.0`: it
+//!   starts at `+0.0` and IEEE-754 addition only produces `-0.0` from
+//!   `-0.0 + -0.0` or exact negative cancellation in rounding modes other
+//!   than round-to-nearest). The argument assumes finite inputs:
+//!   `0.0 * inf` is NaN, not `±0.0`. Weights, activations and gradients are
+//!   finite throughout the pipeline — fault injection corrupts quantized
+//!   codes, never raw `f32` bits.
 //!
 //! * **Integer kernels** ([`dot_i16`], [`gemm_i32_blocked_into`],
 //!   [`round_shift_saturate`]) for the fixed-point accelerator paths. `i64`

@@ -244,25 +244,41 @@ impl Conv2d {
         y
     }
 
-    /// Backward pass: returns `(dx, dw, db)`.
+    /// Backward pass: returns `(dx, dw, db)`. `dx` is left empty unless
+    /// `input_grad` asks for it (the first layer's input gradient has no
+    /// consumer).
     ///
     /// # Panics
     ///
     /// Panics on inconsistent lengths.
     #[must_use]
-    pub fn backward(&self, x: &[f32], dy: &[f32], batch: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    pub fn backward(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        batch: usize,
+        input_grad: bool,
+    ) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
         let isz = self.in_shape.len();
         let out = self.out_shape();
         assert_eq!(x.len(), batch * isz, "conv input length mismatch");
         assert_eq!(dy.len(), batch * out.len(), "conv gradient length mismatch");
         let (ih, iw) = (self.in_shape.h, self.in_shape.w);
-        let mut dx = vec![0.0f32; x.len()];
+        let mut dx = if input_grad {
+            vec![0.0f32; x.len()]
+        } else {
+            Vec::new()
+        };
         let mut dw = vec![0.0f32; self.weights.len()];
         let mut db = vec![0.0f32; self.bias.len()];
         let k = self.kernel;
         for b in 0..batch {
             let xin = &x[b * isz..(b + 1) * isz];
-            let dxo = &mut dx[b * isz..(b + 1) * isz];
+            let dxo: &mut [f32] = if input_grad {
+                &mut dx[b * isz..(b + 1) * isz]
+            } else {
+                &mut []
+            };
             let dyo = &dy[b * out.len()..(b + 1) * out.len()];
             for oc in 0..out.c {
                 for orow in 0..out.h {
@@ -288,7 +304,9 @@ impl Conv2d {
                                     let xi = (ic * ih + ir) * iw + icw;
                                     let wi = ((oc * self.in_shape.c + ic) * k + kr) * k + kc;
                                     dw[wi] += g * xin[xi];
-                                    dxo[xi] += g * self.weights[wi];
+                                    if input_grad {
+                                        dxo[xi] += g * self.weights[wi];
+                                    }
                                 }
                             }
                         }
@@ -473,7 +491,7 @@ mod tests {
         let x: Vec<f32> = (0..32).map(|i| ((i * 7) % 13) as f32 * 0.1 - 0.6).collect();
         let y = conv.forward(&x, 1);
         let dy = y.clone(); // loss = sum(y^2)/2
-        let (dx, dw, db) = conv.backward(&x, &dy, 1);
+        let (dx, dw, db) = conv.backward(&x, &dy, 1, true);
 
         let loss =
             |c: &Conv2d, x: &[f32]| -> f32 { c.forward(x, 1).iter().map(|v| v * v * 0.5).sum() };

@@ -1,5 +1,6 @@
 //! Fully-connected (dense) layer.
 
+use crate::gemm;
 use crate::tensor::Matrix;
 use rand::Rng;
 
@@ -86,17 +87,20 @@ impl Dense {
 
     /// Forward pass over a batch (`x` is `batch x in`, returns `batch x out`).
     ///
+    /// Runs on [`gemm::matmul_exact_into`], bit-identical to
+    /// `Matrix::matmul` plus the bias row on finite inputs.
+    ///
     /// # Panics
     ///
     /// Panics if `x.len()` is not a multiple of `in_features`.
     #[must_use]
     pub fn forward(&self, x: &[f32], batch: usize) -> Vec<f32> {
-        assert_eq!(x.len(), batch * self.in_features(), "input length mismatch");
-        let xm = Matrix::from_vec(batch, self.in_features(), x.to_vec());
-        let mut y = xm.matmul(&self.weights).into_vec();
-        let out = self.out_features();
-        for b in 0..batch {
-            for (o, &bias) in y[b * out..(b + 1) * out].iter_mut().zip(&self.bias) {
+        let (inf, out) = (self.in_features(), self.out_features());
+        assert_eq!(x.len(), batch * inf, "input length mismatch");
+        let mut y = vec![0.0f32; batch * out];
+        gemm::matmul_exact_into(x, self.weights.as_slice(), batch, inf, out, &mut y);
+        for row in y.chunks_exact_mut(out) {
+            for (o, &bias) in row.iter_mut().zip(&self.bias) {
                 *o += bias;
             }
         }
@@ -104,43 +108,60 @@ impl Dense {
     }
 
     /// Backward pass: given the batch input `x` and upstream gradient `dy`,
-    /// returns `(dx, dw, db)`.
+    /// returns `(dx, dw, db)`. `dx` is left empty unless `input_grad` asks
+    /// for it (the first layer's input gradient has no consumer).
+    ///
+    /// `dx = dY * W^T` and `dw = X^T * dY` run on
+    /// [`gemm::matmul_exact_into`] over explicit transposes, bit-identical
+    /// to `dY.matmul_transposed(W)` and `X.transpose().matmul(dY)` on finite
+    /// inputs; `db` is the column sum of `dy`.
     ///
     /// # Panics
     ///
     /// Panics on inconsistent lengths.
     #[must_use]
-    pub fn backward(&self, x: &[f32], dy: &[f32], batch: usize) -> (Vec<f32>, Matrix, Vec<f32>) {
+    pub fn backward(
+        &self,
+        x: &[f32],
+        dy: &[f32],
+        batch: usize,
+        input_grad: bool,
+    ) -> (Vec<f32>, Matrix, Vec<f32>) {
         let (inf, out) = (self.in_features(), self.out_features());
         assert_eq!(x.len(), batch * inf, "input length mismatch");
         assert_eq!(dy.len(), batch * out, "gradient length mismatch");
 
-        let xm = Matrix::from_vec(batch, inf, x.to_vec());
-        let dym = Matrix::from_vec(batch, out, dy.to_vec());
-
-        // dX = dY * W^T (matmul_transposed multiplies by the transpose of
-        // its argument, and W is stored [in x out]).
-        let dx = dym.matmul_transposed(&self.weights).into_vec();
-        // dW = X^T * dY
-        let dw = xm.transpose().matmul(&dym);
-        // db = column sums of dY
+        let mut dx = Vec::new();
+        if input_grad {
+            dx.resize(batch * inf, 0.0);
+            let wt = self.weights.transpose();
+            gemm::matmul_exact_into(dy, wt.as_slice(), batch, out, inf, &mut dx);
+        }
+        let xt = Matrix::from_vec(batch, inf, x.to_vec()).transpose();
+        let mut dw = vec![0.0f32; inf * out];
+        gemm::matmul_exact_into(xt.as_slice(), dy, inf, batch, out, &mut dw);
         let mut db = vec![0.0f32; out];
-        for b in 0..batch {
-            for (d, &g) in db.iter_mut().zip(&dy[b * out..(b + 1) * out]) {
+        for row in dy.chunks_exact(out) {
+            for (d, &g) in db.iter_mut().zip(row) {
                 *d += g;
             }
         }
-        (dx, dw, db)
+        (dx, Matrix::from_vec(inf, out, dw), db)
     }
 
-    /// Applies a parameter update: `W -= lr * dw`, `b -= lr * db`.
+    /// Applies a parameter update: `W -= lr * dw`, `b -= lr * db`, with
+    /// `dw` flattened row-major like the weights.
     ///
     /// # Panics
     ///
     /// Panics if gradient shapes mismatch.
-    pub fn apply_update(&mut self, dw: &Matrix, db: &[f32], lr: f32) {
-        self.weights.add_scaled(dw, -lr);
+    pub fn apply_update(&mut self, dw: &[f32], db: &[f32], lr: f32) {
+        let w = self.weights.as_mut_slice();
+        assert_eq!(dw.len(), w.len(), "weight gradient length mismatch");
         assert_eq!(db.len(), self.bias.len(), "bias gradient length mismatch");
+        for (w, &g) in w.iter_mut().zip(dw) {
+            *w += g * -lr;
+        }
         for (b, &g) in self.bias.iter_mut().zip(db) {
             *b -= lr * g;
         }
@@ -187,7 +208,7 @@ mod tests {
         // Loss = sum(y^2)/2 so dy = y.
         let y = d.forward(&x, batch);
         let dy = y.clone();
-        let (dx, dw, db) = d.backward(&x, &dy, batch);
+        let (dx, dw, db) = d.backward(&x, &dy, batch, true);
 
         let loss =
             |d: &Dense, x: &[f32]| -> f32 { d.forward(x, batch).iter().map(|v| v * v * 0.5).sum() };
@@ -242,7 +263,7 @@ mod tests {
     #[test]
     fn apply_update_moves_against_gradient() {
         let mut d = tiny();
-        let dw = Matrix::from_vec(2, 3, vec![1.0; 6]);
+        let dw = vec![1.0; 6];
         let db = vec![1.0; 3];
         let w00 = d.weights().get(0, 0);
         let b0 = d.bias()[0];

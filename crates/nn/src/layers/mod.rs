@@ -6,8 +6,6 @@ pub mod dense;
 pub use conv::{Conv2d, MaxPool2d, Shape3};
 pub use dense::Dense;
 
-use crate::tensor::Matrix;
-
 /// Rectified linear unit over a fixed-length activation vector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Relu {
@@ -164,7 +162,9 @@ impl Layer {
     }
 
     /// Backward pass: returns the input gradient and, for parameterized
-    /// layers, the parameter gradients.
+    /// layers, the parameter gradients. The input gradient is left empty
+    /// unless `input_grad` asks for it — the first layer's has no consumer,
+    /// so training skips it.
     ///
     /// # Panics
     ///
@@ -176,10 +176,11 @@ impl Layer {
         cache: &LayerCache,
         dy: &[f32],
         batch: usize,
+        input_grad: bool,
     ) -> (Vec<f32>, Option<ParamGrads>) {
         match self {
             Self::Dense(d) => {
-                let (dx, dw, db) = d.backward(x, dy, batch);
+                let (dx, dw, db) = d.backward(x, dy, batch, input_grad);
                 (
                     dx,
                     Some(ParamGrads {
@@ -188,9 +189,8 @@ impl Layer {
                     }),
                 )
             }
-            Self::Relu(r) => (r.backward(x, dy), None),
             Self::Conv2d(c) => {
-                let (dx, dw, db) = c.backward(x, dy, batch);
+                let (dx, dw, db) = c.backward(x, dy, batch, input_grad);
                 (
                     dx,
                     Some(ParamGrads {
@@ -199,12 +199,29 @@ impl Layer {
                     }),
                 )
             }
+            _ if !input_grad => (Vec::new(), None),
+            Self::Relu(r) => (r.backward(x, dy), None),
             Self::MaxPool2d(p) => {
                 let LayerCache::PoolIndices(idx) = cache else {
                     panic!("max-pool backward requires pool indices in the cache");
                 };
                 (p.backward(idx, dy, batch), None)
             }
+        }
+    }
+
+    /// Zeroed parameter gradients shaped like this layer's parameters
+    /// (empty for parameter-free layers) — e.g. SGD momentum buffers.
+    #[must_use]
+    pub(crate) fn zero_grads(&self) -> ParamGrads {
+        let bias = match self {
+            Self::Dense(d) => d.out_features(),
+            Self::Conv2d(c) => c.bias().len(),
+            _ => 0,
+        };
+        ParamGrads {
+            weights: vec![0.0; self.weight_count()],
+            bias: vec![0.0; bias],
         }
     }
 
@@ -215,10 +232,7 @@ impl Layer {
     /// Panics if gradient shapes mismatch the layer.
     pub fn apply_update(&mut self, grads: &ParamGrads, lr: f32) {
         match self {
-            Self::Dense(d) => {
-                let dw = Matrix::from_vec(d.in_features(), d.out_features(), grads.weights.clone());
-                d.apply_update(&dw, &grads.bias, lr);
-            }
+            Self::Dense(d) => d.apply_update(&grads.weights, &grads.bias, lr),
             Self::Conv2d(c) => c.apply_update(&grads.weights, &grads.bias, lr),
             _ => {}
         }
@@ -277,6 +291,6 @@ mod tests {
     #[should_panic(expected = "requires pool indices")]
     fn pool_backward_requires_cache() {
         let pool = Layer::MaxPool2d(MaxPool2d::new(Shape3::new(1, 2, 2)));
-        let _ = pool.backward(&[0.0; 4], &LayerCache::None, &[0.0], 1);
+        let _ = pool.backward(&[0.0; 4], &LayerCache::None, &[0.0], 1, true);
     }
 }

@@ -327,6 +327,9 @@ impl ScaledQuantizer {
 
     /// Quantizes a tensor with its own scale.
     ///
+    /// Each code is `round(v / scale)` in `f64`, saturated to the signed
+    /// container range; a NaN value maps to code 0.
+    ///
     /// # Panics
     ///
     /// Panics if `values` is empty.
@@ -337,19 +340,74 @@ impl ScaledQuantizer {
         let qmax = ((1i32 << (self.bits - 1)) - 1) as f32;
         let scale = max_abs * (1u32 << self.guard_bits) as f32 / qmax;
         let mask = if self.bits == 16 { u16::MAX } else { 0xFF };
-        let codes = values
-            .iter()
-            .map(|&v| {
-                let code = (f64::from(v) / f64::from(scale)).round() as i64;
-                let code = code.clamp(-(i64::from(qmax as i32)) - 1, i64::from(qmax as i32));
-                (code as u16) & mask
-            })
-            .collect();
+        let mut codes = vec![0u16; values.len()];
+        fill_scaled_codes(values, scale, qmax, mask, &mut codes);
         ScaledTensor {
             codes,
             scale,
             bits: self.bits,
         }
+    }
+}
+
+/// Writes the code of each value into `codes`. Runtime dispatch, as in
+/// `crate::gemm`: the same per-element body compiled under wider SIMD
+/// feature sets, so the divide, round and clamp vectorize. Every variant
+/// computes identical codes.
+fn fill_scaled_codes(values: &[f32], scale: f32, qmax: f32, mask: u16, codes: &mut [u16]) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: feature presence just checked.
+            return unsafe { scaled_codes_avx512(values, scale, qmax, mask, codes) };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: feature presence just checked.
+            return unsafe { scaled_codes_avx2(values, scale, qmax, mask, codes) };
+        }
+    }
+    scaled_codes(values, scale, qmax, mask, codes);
+}
+
+/// [`scaled_codes`] compiled with AVX-512F codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn scaled_codes_avx512(values: &[f32], scale: f32, qmax: f32, mask: u16, codes: &mut [u16]) {
+    scaled_codes(values, scale, qmax, mask, codes);
+}
+
+/// [`scaled_codes`] compiled with AVX2 codegen.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn scaled_codes_avx2(values: &[f32], scale: f32, qmax: f32, mask: u16, codes: &mut [u16]) {
+    scaled_codes(values, scale, qmax, mask, codes);
+}
+
+/// The per-element quantizer body. The rounded quotient is clamped in
+/// `f64` to `[-qmax - 1, qmax]` before the cast: for every finite or
+/// infinite quotient that is the code a saturating `as i64` cast and an
+/// integer clamp give, and a NaN is mapped to code 0 as that cast maps it.
+/// Unlike the saturating cast, the unchecked one vectorizes.
+/// `inline(always)` so the `target_feature` wrappers recompile the loop
+/// under their feature set.
+#[inline(always)]
+fn scaled_codes(values: &[f32], scale: f32, qmax: f32, mask: u16, codes: &mut [u16]) {
+    let (lo, hi) = (-f64::from(qmax) - 1.0, f64::from(qmax));
+    for (c, &v) in codes.iter_mut().zip(values) {
+        let q = (f64::from(v) / f64::from(scale)).round();
+        let q = if q.is_nan() { 0.0 } else { q.clamp(lo, hi) };
+        // SAFETY: `q` is integral (rounded), not NaN, and clamped to
+        // `[-qmax - 1, qmax]` with `qmax < 2^15`, so it fits `i32`.
+        let code = unsafe { q.to_int_unchecked::<i32>() };
+        *c = (code as u16) & mask;
     }
 }
 
@@ -626,6 +684,35 @@ mod tests {
         let mut t2 = t.clone();
         t2.load_packed_words(&words);
         assert_eq!(t, t2);
+    }
+
+    /// The vectorized quantizer gives the codes of the saturating integer
+    /// formula `clamp(round(v / scale) as i64)`: on half-way ties, on NaN
+    /// (code 0), and on infinities, whose infinite scale makes every
+    /// quotient 0 or NaN.
+    #[test]
+    fn scaled_codes_match_the_saturating_integer_formula() {
+        for (bits, guard) in [(16u8, 2u8), (16, 0), (8, 1)] {
+            let q = ScaledQuantizer::new(bits, guard);
+            let step = q.quantize(&[1.0]).scale();
+            let mut finite: Vec<f32> = vec![1.0, -1.0, 0.3, -0.3, 0.0, -0.0, f32::NAN];
+            finite.extend((-6..=6).map(|k| k as f32 * 0.5 * step));
+            let non_finite = [f32::INFINITY, f32::NEG_INFINITY, 1.0, f32::NAN];
+            for vals in [&finite[..], &non_finite[..]] {
+                let t = q.quantize(vals);
+                let qmax = i64::from((1i32 << (bits - 1)) - 1);
+                let mask = if bits == 16 { u16::MAX } else { 0xFF };
+                let want: Vec<u16> = vals
+                    .iter()
+                    .map(|&v| {
+                        let code = (f64::from(v) / f64::from(t.scale())).round() as i64;
+                        (code.clamp(-qmax - 1, qmax) as u16) & mask
+                    })
+                    .collect();
+                assert_eq!(t.codes(), want.as_slice(), "{bits}-bit, {guard} guard");
+            }
+            assert_eq!(q.quantize(&finite).codes()[6], 0, "NaN maps to code 0");
+        }
     }
 
     #[test]

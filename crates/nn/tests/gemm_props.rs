@@ -5,15 +5,20 @@
 //! `Matrix::matmul` bitwise for every shape (including the NR-column and
 //! 4/2/1-row remainder tiles), the blocked integer path must reproduce the
 //! naive reduction for every blocking, and the requantizing epilogue must
-//! round and saturate correctly at `i32`/`i64` extremes. Shapes, blockings,
-//! and values are drawn adversarially here rather than enumerated.
+//! round and saturate correctly at `i32`/`i64` extremes. Training rests on
+//! the same kernels: `Dense::forward` and `Dense::backward` must equal the
+//! naive `Matrix` formulas bit for bit. Shapes, blockings, and values are
+//! drawn adversarially here rather than enumerated.
 
 use dante_nn::gemm::{
     dense_cols_into, dot_i16, gemm_i32_blocked_into, gemm_i32_naive, matmul_exact_into,
-    round_shift_saturate,
+    round_shift_saturate, NR,
 };
+use dante_nn::layers::Dense;
 use dante_nn::tensor::Matrix;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -96,6 +101,60 @@ proptest! {
         let wb: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
         let gb: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(gb, wb, "m={} k={} n={} cols={:?}", m, k, n, cols);
+    }
+
+    /// `Dense::forward` and `Dense::backward` on the exact kernels equal the
+    /// naive `Matrix` formulas bit for bit: `y = X W + b`,
+    /// `dx = dY.matmul_transposed(W)`, `dw = X^T.matmul(dY)` and `db` the
+    /// batch-ordered column sum of `dY`. Batch sizes hit every row-remainder
+    /// path, both widths cross the `NR`-column tile, and ReLU-style zeros in
+    /// `X` and `dY` run the zero-skip paths. Values come from a seeded
+    /// generator, so a failing case shrinks over shapes, not thousands of
+    /// floats.
+    #[test]
+    fn dense_layer_passes_match_naive_matrix_formulas_bitwise(
+        batch in 1usize..=33,
+        inf in 1usize..=(NR + 12), out in 1usize..=(NR + 12),
+        zero_stride in 2usize..=5,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut draw = |len: usize, span: f32| -> Vec<f32> {
+            (0..len).map(|_| (rng.gen::<f32>() * 2.0 - 1.0) * span).collect()
+        };
+        let mut x = draw(batch * inf, 4.0);
+        let mut dy = draw(batch * out, 1.0);
+        let w = Matrix::from_vec(inf, out, draw(inf * out, 1.0));
+        let bias = draw(out, 1.0);
+        for v in x.iter_mut().step_by(zero_stride) { *v = 0.0; }
+        for v in dy.iter_mut().skip(1).step_by(zero_stride) { *v = 0.0; }
+        let layer = Dense::from_parameters(w.clone(), bias.clone());
+        let xm = Matrix::from_vec(batch, inf, x.clone());
+        let dym = Matrix::from_vec(batch, out, dy.clone());
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+
+        let mut y_want = xm.matmul(&w).into_vec();
+        for row in y_want.chunks_exact_mut(out) {
+            for (o, &b) in row.iter_mut().zip(&bias) { *o += b; }
+        }
+        prop_assert_eq!(bits(&layer.forward(&x, batch)), bits(&y_want), "forward");
+
+        let dx_want = dym.matmul_transposed(&w).into_vec();
+        let dw_want = xm.transpose().matmul(&dym).into_vec();
+        let mut db_want = vec![0.0f32; out];
+        for row in dy.chunks_exact(out) {
+            for (d, &g) in db_want.iter_mut().zip(row) { *d += g; }
+        }
+        let (dx, dw, db) = layer.backward(&x, &dy, batch, true);
+        prop_assert_eq!(bits(&dx), bits(&dx_want), "dx batch={} in={} out={}", batch, inf, out);
+        prop_assert_eq!(bits(dw.as_slice()), bits(&dw_want), "dw batch={} in={} out={}", batch, inf, out);
+        prop_assert_eq!(bits(&db), bits(&db_want), "db batch={} out={}", batch, out);
+
+        // Skipping the input gradient leaves the parameter gradients alone.
+        let (no_dx, dw2, db2) = layer.backward(&x, &dy, batch, false);
+        prop_assert!(no_dx.is_empty());
+        prop_assert_eq!(bits(dw2.as_slice()), bits(&dw_want));
+        prop_assert_eq!(bits(&db2), bits(&db_want));
     }
 
     /// The lane-split i16 dot product equals the sequential fold exactly

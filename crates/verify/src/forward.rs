@@ -1,8 +1,10 @@
 //! Differential checking of the trial-batched forward evaluator: the
-//! incremental `dante_nn::batched` path and the scalar
-//! [`Network::accuracy`] path are run side by side on identically
-//! fault-corrupted networks and inputs, and the correct-prediction counts
-//! must agree exactly.
+//! incremental `dante_nn::batched` path and a naive scalar layer walk are
+//! run side by side on identically fault-corrupted networks and inputs, and
+//! the correct-prediction counts must agree exactly. The scalar walk runs
+//! dense layers on the reference `Matrix::matmul` loop, not on the exact
+//! GEMM kernels the batched path, [`Network::accuracy`] and training share,
+//! so the two sides are independent implementations.
 //!
 //! Why this catches bugs: the batched path reuses cached clean activations,
 //! resumes mid-network at the first corrupted layer, and — when damage is
@@ -33,6 +35,7 @@ use dante_nn::batched::{trial_correct_count, BatchedScratch, CleanForward, Layer
 use dante_nn::layers::Layer;
 use dante_nn::network::Network;
 use dante_nn::quant::ScaledQuantizer;
+use dante_nn::tensor::{argmax, Matrix};
 use dante_sim::{derive_seed, site};
 use dante_sram::fault::VminFaultModel;
 use dante_sram::storage::FaultOverlay;
@@ -209,10 +212,43 @@ pub fn apply_units(clean: &Network, corrupted: &Network, units: &[WeightRow]) ->
     hybrid
 }
 
-/// The scalar reference: [`Network::accuracy`]'s correct-prediction count.
-#[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+/// The scalar reference's correct-prediction count: every image walked
+/// through every layer, dense layers on the naive `Matrix::matmul` loop.
+/// Images go in chunks of 256, as `Network::accuracy` batches them, which
+/// bounds the activation memory without changing any image's result.
 fn scalar_count(net: &Network, inputs: &[f32], labels: &[u8]) -> usize {
-    (net.accuracy(inputs, labels) * labels.len() as f64).round() as usize
+    let in_len = net.in_len();
+    assert_eq!(
+        inputs.len(),
+        labels.len() * in_len,
+        "image buffer length mismatch"
+    );
+    let mut correct = 0;
+    for (images, chunk_labels) in inputs.chunks(256 * in_len).zip(labels.chunks(256)) {
+        let batch = chunk_labels.len();
+        let mut act = images.to_vec();
+        for layer in net.layers() {
+            act = match layer {
+                Layer::Dense(d) => {
+                    let x = Matrix::from_vec(batch, d.in_features(), act);
+                    let mut y = x.matmul(d.weights()).into_vec();
+                    for row in y.chunks_exact_mut(d.out_features()) {
+                        for (o, &b) in row.iter_mut().zip(d.bias()) {
+                            *o += b;
+                        }
+                    }
+                    y
+                }
+                other => other.forward(&act, batch),
+            };
+        }
+        correct += act
+            .chunks_exact(net.out_len())
+            .zip(chunk_labels)
+            .filter(|(logits, &label)| argmax(logits) == usize::from(label))
+            .count();
+    }
+    correct
 }
 
 /// Outcome of one batched-vs-scalar comparison.
@@ -446,9 +482,10 @@ pub fn run_forward_differential(
 /// corrupts a copy of the weights with
 /// [`AccuracyEvaluator::corrupt_network`] and a copy of the test inputs
 /// with [`AccuracyEvaluator::corrupt_inputs`] at `assignment.inputs`, both
-/// under `derive_seed(seed, site::TRIAL, t)`, and scores them with
-/// [`Network::accuracy`] — every image walked through every layer, no
-/// cached clean activations. The evaluator's trial-batched incremental
+/// under `derive_seed(seed, site::TRIAL, t)`, and scores them with the
+/// naive scalar layer walk — every image through every layer on the
+/// reference `Matrix::matmul` loop, no cached clean activations, no exact
+/// GEMM kernels. The evaluator's trial-batched incremental
 /// path must match it bit for bit under every sampler and ECC mode.
 ///
 /// # Panics
@@ -468,7 +505,12 @@ pub fn scalar_evaluate(
             let trial_seed = derive_seed(seed, site::TRIAL, t as u64);
             let corrupted = eval.corrupt_network(net, assignment, trial_seed);
             let inputs = eval.corrupt_inputs(images, assignment.inputs, trial_seed);
-            corrupted.accuracy(&inputs, labels)
+            // The exact division `Network::accuracy` performs.
+            if labels.is_empty() {
+                0.0
+            } else {
+                scalar_count(&corrupted, &inputs, labels) as f64 / labels.len() as f64
+            }
         })
         .collect();
     AccuracyStats { per_trial }

@@ -10,10 +10,11 @@
 //!   with a ddmin divergence minimizer that shrinks a failing corruption to
 //!   a 1-minimal set of weight rows.
 //! * [`forward`] — the trial-batched incremental forward evaluator
-//!   (`dante_nn::batched`) checked against the scalar `Network::accuracy`
-//!   path under identical fault-corrupted weights and inputs, with the same
-//!   ddmin shrink reused at weight-unit granularity; [`scalar_evaluate`]
-//!   is the scalar reference for the whole Monte-Carlo evaluator.
+//!   (`dante_nn::batched`) checked against a naive scalar layer walk (dense
+//!   layers on `Matrix::matmul`) under identical fault-corrupted weights and
+//!   inputs, with the same ddmin shrink reused at weight-unit granularity;
+//!   [`scalar_evaluate`] is the scalar reference for the whole Monte-Carlo
+//!   evaluator.
 //! * [`golden`] — snapshot testing of every deterministic `dante-bench`
 //!   figure/table record against blessed JSON in `results/golden/`, with
 //!   per-metric tolerance bands, paper-anchored point checks, a unified
