@@ -16,7 +16,6 @@ use dante_nn::network::Network;
 use dante_nn::quant::ScaledQuantizer;
 use dante_nn::Matrix;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
-use dante_sram::fault::VminFaultModel;
 use dante_sram::model::{DieFaultModel, FaultModel};
 use dante_sram::sparse::SparseCell;
 use dante_sram::storage::FaultOverlay;
@@ -272,37 +271,6 @@ struct OverlayBuffers {
 /// weight layer position.
 const INPUTS_TARGET: usize = usize::MAX;
 
-/// How the evaluator's fault model was configured: a fixed per-die Gaussian
-/// handed in directly (the legacy `with_fault_model` path — every trial
-/// sees the same die parameters), or a [`FaultModel`] spec resolved against
-/// each trial's seed (so chip-variation specs draw a fresh die profile per
-/// trial, matching the paper's one-fault-map-per-trial methodology).
-#[derive(Debug, Clone, PartialEq)]
-enum ConfiguredFaultModel {
-    Fixed(VminFaultModel),
-    Spec(FaultModel),
-}
-
-impl ConfiguredFaultModel {
-    /// The per-trial die. The `Fixed` arm and the `Spec(Gaussian)` arm both
-    /// resolve to plain Gaussian dies independent of the seed, preserving
-    /// the pre-refactor sampling byte-for-byte.
-    fn resolve_die(&self, trial_seed: u64) -> DieFaultModel {
-        match self {
-            Self::Fixed(m) => DieFaultModel::Gaussian(*m),
-            Self::Spec(spec) => spec.resolve_die(trial_seed),
-        }
-    }
-
-    /// The spec form, when configured as one.
-    fn spec(&self) -> Option<FaultModel> {
-        match self {
-            Self::Fixed(_) => None,
-            Self::Spec(spec) => Some(*spec),
-        }
-    }
-}
-
 /// Per-worker trial scratch: a working network + input buffer (restored to
 /// the clean dequantized state between trials via the `touched` undo log)
 /// plus the overlay buffers. Steady-state trials allocate nothing.
@@ -371,7 +339,7 @@ fn weight_slice_mut(net: &mut Network, idx: usize) -> &mut [f32] {
 /// — the steady-state hot path allocates nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccuracyEvaluator {
-    fault_model: ConfiguredFaultModel,
+    fault_model: FaultModel,
     weight_quantizer: ScaledQuantizer,
     input_quantizer: ScaledQuantizer,
     trials: usize,
@@ -393,7 +361,7 @@ impl AccuracyEvaluator {
     pub fn new(trials: usize) -> Self {
         assert!(trials > 0, "need at least one Monte-Carlo trial");
         Self {
-            fault_model: ConfiguredFaultModel::Spec(FaultModel::default()),
+            fault_model: FaultModel::default(),
             weight_quantizer: ScaledQuantizer::weight_default(),
             input_quantizer: ScaledQuantizer::weight_default(),
             trials,
@@ -420,22 +388,15 @@ impl AccuracyEvaluator {
         self.engine.threads()
     }
 
-    /// Pins a fixed Gaussian fault model: every trial's die uses exactly
-    /// these parameters (e.g. a model fitted from chip measurements).
-    #[must_use]
-    pub fn with_fault_model(mut self, model: VminFaultModel) -> Self {
-        self.fault_model = ConfiguredFaultModel::Fixed(model);
-        self
-    }
-
     /// Selects a [`FaultModel`] spec: each trial resolves the spec against
     /// its own seed, so correlated-burst dies draw fresh weak rows/columns
     /// and chip-variation dies draw fresh `(mu, sigma)` profiles per trial.
-    /// The default spec reproduces [`VminFaultModel::default_14nm`]
+    /// The default spec reproduces
+    /// [`VminFaultModel::default_14nm`](dante_sram::fault::VminFaultModel::default_14nm)
     /// byte-for-byte.
     #[must_use]
     pub fn with_fault_spec(mut self, spec: FaultModel) -> Self {
-        self.fault_model = ConfiguredFaultModel::Spec(spec);
+        self.fault_model = spec;
         self
     }
 
@@ -463,13 +424,6 @@ impl AccuracyEvaluator {
     #[must_use]
     pub fn sampling(&self) -> OverlaySampling {
         self.sampling
-    }
-
-    /// The fault-model spec in use, when the evaluator was configured with
-    /// one (`None` after [`Self::with_fault_model`] pinned a fixed die).
-    #[must_use]
-    pub fn fault_spec(&self) -> Option<FaultModel> {
-        self.fault_model.spec()
     }
 
     /// Monte-Carlo trial count.

@@ -19,6 +19,13 @@ use dante_sim::TrialEvent;
 use dante_sram::model::{CellFaultRate, FaultModel};
 use std::collections::BTreeMap;
 
+/// Parses a request or shard-response body as JSON — the one prologue
+/// every body decoder shares.
+fn parse_body(body: &[u8]) -> Result<Value, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
+    Value::parse(text).map_err(|e| e.to_string())
+}
+
 /// Decodes a `POST /v1/sweep` body into a spec.
 ///
 /// Accepted shape (everything except `voltages_mv`/`grid` optional):
@@ -47,9 +54,7 @@ use std::collections::BTreeMap;
 /// Returns a human-readable reason (parse error with byte offset, or the
 /// first field that failed decoding/validation).
 pub fn decode_spec(body: &[u8]) -> Result<SweepSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_spec_value(&v)
+    decode_spec_value(&parse_body(body)?)
 }
 
 /// Decodes an already-parsed sweep-spec object (the `spec` sub-object of a
@@ -63,43 +68,8 @@ pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
         return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
     }
 
-    let u64_field = |key: &str, default: u64| -> Result<u64, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-                Ok(*n as u64)
-            }
-            Some(_) => Err(format!("'{key}' must be a non-negative integer")),
-        }
-    };
-
-    let voltages_mv = if let Some(grid) = v.get("grid") {
-        let part = |key: &str| -> Result<u32, String> {
-            grid.get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("'grid.{key}' must be a small non-negative integer"))
-        };
-        let (start, stop, step) = (part("start_mv")?, part("stop_mv")?, part("step_mv")?);
-        if step == 0 || stop < start {
-            return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-        }
-        (start..=stop).step_by(step as usize).collect()
-    } else {
-        v.get("voltages_mv")
-            .ok_or_else(|| "missing 'voltages_mv' (or 'grid')".to_owned())?
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?
-    };
+    let voltages_mv =
+        decode_voltages(v)?.ok_or_else(|| "missing 'voltages_mv' (or 'grid')".to_owned())?;
 
     let sampling = decode_sampling(v.get("sampling"))?;
     let ecc = decode_ecc(v.get("ecc"))?;
@@ -155,9 +125,9 @@ pub fn decode_spec_value(v: &Value) -> Result<SweepSpec, String> {
     };
 
     let spec = SweepSpec {
-        seed: u64_field("seed", 0xDA17E)?,
+        seed: u64_field(v, "seed", 0xDA17E)?,
         voltages_mv,
-        trials: usize::try_from(u64_field("trials", 4)?).unwrap_or(usize::MAX),
+        trials: usize::try_from(u64_field(v, "trials", 4)?).unwrap_or(usize::MAX),
         sampling,
         ecc,
         network,
@@ -312,9 +282,7 @@ pub fn decode_fault_model(v: Option<&Value>) -> Result<FaultModel, String> {
 /// Returns a human-readable reason naming the first offending field or the
 /// first bound the assembled spec violates.
 pub fn decode_fleet_spec(body: &[u8]) -> Result<FleetSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_fleet_value(&v)
+    decode_fleet_value(&parse_body(body)?)
 }
 
 /// Decodes an already-parsed fleet-spec object (the `spec` sub-object of a
@@ -328,49 +296,11 @@ pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
         return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
     }
     let mut spec = FleetSpec::toy_default();
-    match v.get("seed") {
-        None => {}
-        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-            spec.seed = *n as u64;
-        }
-        Some(_) => return Err("'seed' must be a non-negative integer".to_owned()),
-    }
-    let size = |key: &str, default: usize| -> Result<usize, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => {
-                Ok(*n as usize)
-            }
-            Some(_) => Err(format!("'{key}' must be a small non-negative integer")),
-        }
-    };
-    spec.dies = size("dies", spec.dies)?;
-    spec.array_bits = size("array_bits", spec.array_bits)?;
-    if let Some(grid) = v.get("grid") {
-        let part = |key: &str| -> Result<u32, String> {
-            grid.get(key)
-                .and_then(Value::as_f64)
-                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                .map(|n| n as u32)
-                .ok_or_else(|| format!("'grid.{key}' must be a small non-negative integer"))
-        };
-        let (start, stop, step) = (part("start_mv")?, part("stop_mv")?, part("step_mv")?);
-        if step == 0 || stop < start {
-            return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
-        }
-        spec.voltages_mv = (start..=stop).step_by(step as usize).collect();
-    } else if let Some(volts) = v.get("voltages_mv") {
-        spec.voltages_mv = volts
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+    spec.seed = u64_field(v, "seed", spec.seed)?;
+    spec.dies = size_field(v, "dies", spec.dies)?;
+    spec.array_bits = size_field(v, "array_bits", spec.array_bits)?;
+    if let Some(voltages_mv) = decode_voltages(v)? {
+        spec.voltages_mv = voltages_mv;
     }
     spec.fault_model = decode_fault_model(v.get("fault_model"))?;
     spec.geometry = decode_geometry(v.get("geometry"))?;
@@ -402,9 +332,7 @@ pub fn decode_fleet_value(v: &Value) -> Result<FleetSpec, String> {
 /// Returns a human-readable reason naming the first offending field or the
 /// first bound the assembled spec violates.
 pub fn decode_retrain_spec(body: &[u8]) -> Result<RetrainSpec, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
-    decode_retrain_value(&v)
+    decode_retrain_value(&parse_body(body)?)
 }
 
 /// Decodes an already-parsed retrain-spec object.
@@ -417,26 +345,11 @@ pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
         return Err("give either 'voltages_mv' or 'grid', not both".to_owned());
     }
     let mut spec = RetrainSpec::toy_default();
-    match v.get("seed") {
-        None => {}
-        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => {
-            spec.seed = *n as u64;
-        }
-        Some(_) => return Err("'seed' must be a non-negative integer".to_owned()),
-    }
-    let size = |key: &str, default: usize| -> Result<usize, String> {
-        match v.get(key) {
-            None => Ok(default),
-            Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => {
-                Ok(*n as usize)
-            }
-            Some(_) => Err(format!("'{key}' must be a small non-negative integer")),
-        }
-    };
-    spec.target_mv = size("target_mv", spec.target_mv as usize)? as u32;
-    spec.epochs = size("epochs", spec.epochs)?;
-    spec.trials = size("trials", spec.trials)?;
-    spec.level = size("level", spec.level)?;
+    spec.seed = u64_field(v, "seed", spec.seed)?;
+    spec.target_mv = size_field(v, "target_mv", spec.target_mv as usize)? as u32;
+    spec.epochs = size_field(v, "epochs", spec.epochs)?;
+    spec.trials = size_field(v, "trials", spec.trials)?;
+    spec.level = size_field(v, "level", spec.level)?;
     spec.resample = match v.get("resample").map(|s| s.as_str()) {
         None => spec.resample,
         Some(Some("every_epoch")) => ResamplePolicy::EveryEpoch,
@@ -452,6 +365,40 @@ pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
         Some(Value::Number(n)) if n.is_finite() => spec.floor = *n,
         Some(_) => return Err("'floor' must be a finite number".to_owned()),
     }
+    if let Some(voltages_mv) = decode_voltages(v)? {
+        spec.voltages_mv = voltages_mv;
+    }
+    spec.sampling = decode_sampling(v.get("sampling"))?;
+    spec.ecc = decode_ecc(v.get("ecc"))?;
+    spec.network = decode_network(v.get("network"))?;
+    spec.fault_model = decode_fault_model(v.get("fault_model"))?;
+    spec.validate()?;
+    Ok(spec)
+}
+
+/// Reads the optional integer field `key`, or `default` when it is absent.
+fn u64_field(v: &Value, key: &str, default: u64) -> Result<u64, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(Value::Number(n)) if n.fract() == 0.0 && *n >= 0.0 && *n <= 1.8e19 => Ok(*n as u64),
+        Some(_) => Err(format!("'{key}' must be a non-negative integer")),
+    }
+}
+
+/// Reads the optional size field `key` (at most 10^9), or `default` when
+/// it is absent.
+fn size_field(v: &Value, key: &str, default: usize) -> Result<usize, String> {
+    match v.get(key) {
+        None => Ok(default),
+        Some(Value::Number(n)) if n.fract() == 0.0 && (0.0..=1e9).contains(n) => Ok(*n as usize),
+        Some(_) => Err(format!("'{key}' must be a small non-negative integer")),
+    }
+}
+
+/// Decodes the voltage grid shared by sweep, fleet and retrain bodies: a
+/// `grid` range or an explicit `voltages_mv` list (`None` when the body
+/// gives neither; callers reject bodies that give both).
+fn decode_voltages(v: &Value) -> Result<Option<Vec<u32>>, String> {
     if let Some(grid) = v.get("grid") {
         let part = |key: &str| -> Result<u32, String> {
             grid.get(key)
@@ -464,26 +411,23 @@ pub fn decode_retrain_value(v: &Value) -> Result<RetrainSpec, String> {
         if step == 0 || stop < start {
             return Err("'grid' needs step_mv >= 1 and stop_mv >= start_mv".to_owned());
         }
-        spec.voltages_mv = (start..=stop).step_by(step as usize).collect();
-    } else if let Some(volts) = v.get("voltages_mv") {
-        spec.voltages_mv = volts
-            .as_array()
-            .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
-            .iter()
-            .map(|p| {
-                p.as_f64()
-                    .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
-                    .map(|n| n as u32)
-                    .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        return Ok(Some((start..=stop).step_by(step as usize).collect()));
     }
-    spec.sampling = decode_sampling(v.get("sampling"))?;
-    spec.ecc = decode_ecc(v.get("ecc"))?;
-    spec.network = decode_network(v.get("network"))?;
-    spec.fault_model = decode_fault_model(v.get("fault_model"))?;
-    spec.validate()?;
-    Ok(spec)
+    let Some(volts) = v.get("voltages_mv") else {
+        return Ok(None);
+    };
+    volts
+        .as_array()
+        .ok_or_else(|| "'voltages_mv' must be an array".to_owned())?
+        .iter()
+        .map(|p| {
+            p.as_f64()
+                .filter(|n| n.fract() == 0.0 && (0.0..=1e6).contains(n))
+                .map(|n| n as u32)
+                .ok_or_else(|| "'voltages_mv' entries must be integers (millivolts)".to_owned())
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map(Some)
 }
 
 /// Decodes the optional `sampling` token shared by `/v1/sweep` and
@@ -820,8 +764,7 @@ pub fn encode_shard_sweep_request(
 ///
 /// Rejects malformed bodies and windows outside `0..spec.trials`.
 pub fn decode_shard_sweep_request(body: &[u8]) -> Result<(SweepSpec, usize, usize), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let v = parse_body(body)?;
     let spec = decode_spec_value(v.get("spec").ok_or("missing 'spec'")?)?;
     let offset = window_field(&v, "trial_offset")?;
     let count = window_field(&v, "trial_count")?;
@@ -858,8 +801,7 @@ pub fn encode_shard_sweep_response(per_point: &[Vec<f64>]) -> String {
 ///
 /// Rejects malformed bodies (including error payloads from the peer).
 pub fn decode_shard_sweep_response(body: &[u8]) -> Result<Vec<Vec<f64>>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let v = parse_body(body)?;
     v.get("points")
         .and_then(Value::as_array)
         .ok_or_else(|| "missing 'points' array".to_owned())?
@@ -893,8 +835,7 @@ pub fn encode_shard_fleet_request(spec: &FleetSpec, die_offset: usize, die_count
 ///
 /// Rejects malformed bodies and windows outside `0..spec.dies`.
 pub fn decode_shard_fleet_request(body: &[u8]) -> Result<(FleetSpec, usize, usize), String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let v = parse_body(body)?;
     let spec = decode_fleet_value(v.get("spec").ok_or("missing 'spec'")?)?;
     let offset = window_field(&v, "die_offset")?;
     let count = window_field(&v, "die_count")?;
@@ -937,8 +878,7 @@ pub fn encode_shard_fleet_response(dies: &[DieOutcome]) -> String {
 ///
 /// Rejects malformed bodies (including error payloads from the peer).
 pub fn decode_shard_fleet_response(body: &[u8]) -> Result<Vec<DieOutcome>, String> {
-    let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_owned())?;
-    let v = Value::parse(text).map_err(|e| e.to_string())?;
+    let v = parse_body(body)?;
     v.get("dies")
         .and_then(Value::as_array)
         .ok_or_else(|| "missing 'dies' array".to_owned())?

@@ -98,6 +98,21 @@ pub enum Lane {
     Bulk,
 }
 
+/// The four kinds of work the service runs. [`JobSpec::kind`] is the one
+/// place a spec is classified; lane scheduling and the per-kind
+/// `/metrics` counters key on this enum.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JobKind {
+    /// A Monte-Carlo accuracy/energy sweep (`POST /v1/sweep`).
+    Sweep,
+    /// A fleet V_min/yield sweep (`POST /v1/fleet`).
+    Fleet,
+    /// An iso-accuracy solve (`GET /v1/iso-accuracy`).
+    Iso,
+    /// A fault-aware retraining run (`POST /v1/retrain`).
+    Retrain,
+}
+
 /// The work a job carries: a voltage sweep, a fleet-scale V_min/yield
 /// population sweep, an iso-accuracy solve, or a fault-aware retraining
 /// run. All are content-addressed by their canonical strings, whose
@@ -119,6 +134,17 @@ pub enum JobSpec {
 }
 
 impl JobSpec {
+    /// Which of the four kinds this is.
+    #[must_use]
+    pub fn kind(&self) -> JobKind {
+        match self {
+            Self::Sweep(_) => JobKind::Sweep,
+            Self::Fleet(_) => JobKind::Fleet,
+            Self::Iso(_) => JobKind::Iso,
+            Self::Retrain(_) => JobKind::Retrain,
+        }
+    }
+
     /// The canonical content-address input of the underlying spec.
     #[must_use]
     pub fn canonical_string(&self) -> String {
@@ -142,30 +168,12 @@ impl JobSpec {
         }
     }
 
-    /// Whether this is a fleet sweep (counted separately in `/metrics`).
-    #[must_use]
-    pub fn is_fleet(&self) -> bool {
-        matches!(self, Self::Fleet(_))
-    }
-
-    /// Whether this is an iso-accuracy solve.
-    #[must_use]
-    pub fn is_iso(&self) -> bool {
-        matches!(self, Self::Iso(_))
-    }
-
-    /// Whether this is a retraining run (counted separately in `/metrics`).
-    #[must_use]
-    pub fn is_retrain(&self) -> bool {
-        matches!(self, Self::Retrain(_))
-    }
-
     /// The scheduling lane this work rides in.
     #[must_use]
     pub fn lane(&self) -> Lane {
-        match self {
-            Self::Iso(_) => Lane::Interactive,
-            Self::Sweep(_) | Self::Fleet(_) | Self::Retrain(_) => Lane::Bulk,
+        match self.kind() {
+            JobKind::Iso => Lane::Interactive,
+            JobKind::Sweep | JobKind::Fleet | JobKind::Retrain => Lane::Bulk,
         }
     }
 }
@@ -259,27 +267,6 @@ impl Job {
     #[must_use]
     pub fn status(&self) -> JobStatus {
         self.state.lock().expect("job lock poisoned").status
-    }
-
-    /// Whether this job exercises the energy-comparison machinery (counted
-    /// separately in `/metrics` as `dante_serve_energy_sweep_jobs_total`).
-    #[must_use]
-    pub fn is_energy_sweep(&self) -> bool {
-        self.spec.is_energy_sweep()
-    }
-
-    /// Whether this job is a fleet sweep (counted separately in `/metrics`
-    /// as `dante_serve_fleet_jobs_total`).
-    #[must_use]
-    pub fn is_fleet(&self) -> bool {
-        self.spec.is_fleet()
-    }
-
-    /// Whether this job is a retraining run (counted separately in
-    /// `/metrics` as `dante_serve_retrain_jobs_total`).
-    #[must_use]
-    pub fn is_retrain(&self) -> bool {
-        self.spec.is_retrain()
     }
 
     /// Blocks until the job reaches a terminal status or `shutdown` is
@@ -624,23 +611,22 @@ mod tests {
     #[test]
     fn job_spec_delegates_classification_and_canonical_string() {
         let sweep = spec();
-        assert!(!sweep.is_fleet());
+        assert_eq!(sweep.kind(), JobKind::Sweep);
         assert!(!sweep.is_energy_sweep(), "toy single-supply sweep");
         assert!(sweep.canonical_string().starts_with("dante.sweep."));
         assert_eq!(sweep.lane(), Lane::Bulk);
         let fleet = JobSpec::Fleet(FleetSpec::toy_default());
-        assert!(fleet.is_fleet());
+        assert_eq!(fleet.kind(), JobKind::Fleet);
         assert!(!fleet.is_energy_sweep());
         assert!(fleet.canonical_string().starts_with("dante.fleet."));
         assert_eq!(fleet.lane(), Lane::Bulk);
         let iso = iso_spec();
-        assert!(iso.is_iso());
+        assert_eq!(iso.kind(), JobKind::Iso);
         assert!(!iso.is_energy_sweep());
         assert!(iso.canonical_string().starts_with("dante.iso."));
         assert_eq!(iso.lane(), Lane::Interactive);
         let retrain = JobSpec::Retrain(RetrainSpec::toy_default());
-        assert!(retrain.is_retrain());
-        assert!(!retrain.is_fleet());
+        assert_eq!(retrain.kind(), JobKind::Retrain);
         assert!(!retrain.is_energy_sweep());
         assert!(retrain.canonical_string().starts_with("dante.retrain."));
         assert_eq!(retrain.lane(), Lane::Bulk, "epochs of work ride bulk");

@@ -12,7 +12,9 @@
 //! |---|---|
 //! | `POST /v1/sweep` | Run a sweep (JSON spec); add `?mode=async` for 202 + job id |
 //! | `POST /v1/fleet` | Run a fleet V_min/yield sweep (JSON spec); `?mode=async` works too |
+//! | `POST /v1/retrain` | Fault-aware retraining, then a hardened-vs-baseline V_min comparison (JSON spec); `?mode=async` streams per-epoch progress |
 //! | `GET /v1/iso-accuracy` | Solve `V_min` at an accuracy floor, compare supply energies |
+//! | `POST /v1/shard/sweep`, `POST /v1/shard/fleet` | Internal: one coordinator fan-out leg (a trial or die window, raw results as exact bit patterns) |
 //! | `GET /v1/jobs/<id>` | Job status (embeds the result record once done) |
 //! | `GET /v1/jobs/<id>/result` | The raw (byte-exact) result body |
 //! | `GET /v1/jobs/<id>/events` | Chunked NDJSON stream of per-trial (or per-die) progress |
@@ -48,6 +50,6 @@ pub mod shard;
 pub mod store;
 
 pub use cache::{digest, ResultCache};
-pub use jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus, QueueFull};
+pub use jobs::{Job, JobKind, JobQueue, JobRegistry, JobSpec, JobStatus, QueueFull};
 pub use server::{start, ServerConfig, ServerHandle};
 pub use store::{DiskStore, StoreStats, TieredCache};

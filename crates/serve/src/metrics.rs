@@ -1,6 +1,7 @@
 //! Service counters and latency tracking, rendered as plain text for
 //! `GET /metrics`.
 
+use crate::jobs::{JobKind, JobSpec};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -53,19 +54,19 @@ pub struct Metrics {
     /// Completed jobs that exercised the energy-comparison machinery (a
     /// non-single supply or the AlexNet/row-stationary workload; see
     /// `SweepSpec::is_energy_sweep`).
-    pub energy_sweep_jobs: AtomicU64,
+    energy_sweep_jobs: AtomicU64,
     /// `GET /v1/iso-accuracy` solves served (cold computes).
-    pub iso_accuracy_solves: AtomicU64,
+    iso_accuracy_solves: AtomicU64,
     /// `GET /v1/iso-accuracy` responses served from the result cache.
-    pub iso_accuracy_cache_hits: AtomicU64,
+    iso_accuracy_cache_hits: AtomicU64,
     /// Completed `POST /v1/fleet` population sweeps (cold computes).
-    pub fleet_jobs: AtomicU64,
+    fleet_jobs: AtomicU64,
     /// `POST /v1/fleet` responses served from the result cache.
-    pub fleet_cache_hits: AtomicU64,
+    fleet_cache_hits: AtomicU64,
     /// Completed `POST /v1/retrain` hardening runs (cold computes).
-    pub retrain_jobs: AtomicU64,
+    retrain_jobs: AtomicU64,
     /// `POST /v1/retrain` responses served from the result cache.
-    pub retrain_cache_hits: AtomicU64,
+    retrain_cache_hits: AtomicU64,
     /// Submissions rejected with 429 because the queue was full.
     /// Incremented exactly once per rejected submission, on the same path
     /// that attaches `Retry-After`.
@@ -135,6 +136,33 @@ impl Metrics {
             .lock()
             .expect("metrics lock poisoned")
             .push(micros);
+    }
+
+    /// Counts a successfully completed job: the total, plus its kind's
+    /// counter (sweeps count only when they exercise the energy model).
+    pub(crate) fn record_completion(&self, spec: &JobSpec) {
+        self.jobs_completed.fetch_add(1, Ordering::Relaxed);
+        let per_kind = match spec.kind() {
+            JobKind::Sweep => spec.is_energy_sweep().then_some(&self.energy_sweep_jobs),
+            JobKind::Fleet => Some(&self.fleet_jobs),
+            JobKind::Iso => Some(&self.iso_accuracy_solves),
+            JobKind::Retrain => Some(&self.retrain_jobs),
+        };
+        if let Some(counter) = per_kind {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Counts a response served from the result cache under its kind's
+    /// counter (sweep hits show only in the cache-wide gauges).
+    pub(crate) fn record_cache_hit(&self, kind: JobKind) {
+        let counter = match kind {
+            JobKind::Sweep => return,
+            JobKind::Fleet => &self.fleet_cache_hits,
+            JobKind::Iso => &self.iso_accuracy_cache_hits,
+            JobKind::Retrain => &self.retrain_cache_hits,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A copy of the retained latency window (unordered).
@@ -291,6 +319,39 @@ mod tests {
         let (p50, p99) = m.latency_percentiles();
         assert_eq!(p50, 200);
         assert_eq!(p99, 300);
+    }
+
+    #[test]
+    fn per_kind_counters_keep_their_metric_names() {
+        use dante::fleet::FleetSpec;
+        use dante::iso::IsoAccuracySpec;
+        use dante::retrain::RetrainSpec;
+        use dante::sweep::SweepSpec;
+        let m = Metrics::new();
+        let specs = [
+            JobSpec::Sweep(SweepSpec::toy_default()),
+            JobSpec::Fleet(FleetSpec::toy_default()),
+            JobSpec::Iso(IsoAccuracySpec::toy_default()),
+            JobSpec::Retrain(RetrainSpec::toy_default()),
+        ];
+        for spec in &specs {
+            m.record_completion(spec);
+            m.record_cache_hit(spec.kind());
+        }
+        m.record_cache_hit(JobKind::Fleet);
+        let text = m.render(&Gauges::default());
+        for line in [
+            "dante_serve_jobs_completed_total 4\n",
+            "dante_serve_energy_sweep_jobs_total 0\n",
+            "dante_serve_iso_accuracy_solves_total 1\n",
+            "dante_serve_iso_accuracy_cache_hits_total 1\n",
+            "dante_serve_fleet_jobs_total 1\n",
+            "dante_serve_fleet_cache_hits_total 2\n",
+            "dante_serve_retrain_jobs_total 1\n",
+            "dante_serve_retrain_cache_hits_total 1\n",
+        ] {
+            assert!(text.contains(line), "missing {line:?} in\n{text}");
+        }
     }
 
     #[test]

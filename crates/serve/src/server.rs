@@ -6,10 +6,12 @@ use crate::cache::digest;
 use crate::http::{self, configure_stream, read_request, ChunkedResponse, Request, RequestError};
 use crate::jobs::{Job, JobQueue, JobRegistry, JobSpec, JobStatus, LaneWeights};
 use crate::metrics::{Gauges, Metrics};
-use crate::shard::Coordinator;
+use crate::shard::{Coordinator, ShardWork};
 use crate::store::{DiskStore, TieredCache};
+use dante::fleet::FleetSpec;
+use dante::sweep::{SweepPoint, SweepSpec};
 use dante_bench::json::Value;
-use dante_sim::EventObserver;
+use dante_sim::{EventObserver, TrialEvent};
 use std::collections::BTreeMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -284,7 +286,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
     }
 }
 
-/// Runs queued sweeps until shutdown. Each job streams its progress into
+/// Runs queued jobs until shutdown. Each job streams its progress into
 /// the job's event log via the sim-layer [`EventObserver`] bridge.
 fn worker_loop(shared: &Arc<Shared>) {
     while let Some(job) = shared.queue.pop(&shared.shutdown) {
@@ -298,37 +300,12 @@ fn worker_loop(shared: &Arc<Shared>) {
                 // Count before publishing the terminal status: a client
                 // woken by set_status may scrape /metrics immediately and
                 // must see its own completed job.
-                shared
-                    .metrics
-                    .jobs_completed
-                    .fetch_add(1, Ordering::Relaxed);
-                if job.is_energy_sweep() {
-                    shared
-                        .metrics
-                        .energy_sweep_jobs
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if job.is_fleet() {
-                    shared.metrics.fleet_jobs.fetch_add(1, Ordering::Relaxed);
-                }
-                if job.spec.is_iso() {
-                    shared
-                        .metrics
-                        .iso_accuracy_solves
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                if job.spec.is_retrain() {
-                    shared.metrics.retrain_jobs.fetch_add(1, Ordering::Relaxed);
-                }
+                shared.metrics.record_completion(&job.spec);
                 job.push_event(format!(r#"{{"event":"done","job":"{}"}}"#, job.id), true);
                 job.set_status(JobStatus::Done, Some(body), None);
             }
             Err(panic) => {
-                let why = panic
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                    .unwrap_or_else(|| "worker panicked".to_owned());
+                let why = panic_message(&*panic, "worker panicked");
                 job.push_event(api::error_body(&why), true);
                 job.set_status(JobStatus::Failed, None, Some(why));
                 shared.metrics.jobs_failed.fetch_add(1, Ordering::Relaxed);
@@ -338,6 +315,16 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// The message a caught panic carried, or `fallback` for a non-string
+/// payload.
+fn panic_message(panic: &(dyn std::any::Any + Send), fallback: &str) -> String {
+    panic
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+        .unwrap_or_else(|| fallback.to_owned())
+}
+
 /// Executes one job, bridging trial hooks into events: sweeps run point by
 /// point, fleets run die by die (one trial per die). When this node is a
 /// coordinator (`DANTE_SERVE_PEERS`), bulk sweep/fleet jobs fan out across
@@ -345,58 +332,38 @@ fn worker_loop(shared: &Arc<Shared>) {
 /// `shard_fanout` event, but the merged response body stays byte-identical
 /// to a local run.
 fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
+    // The coordinator, when this node has peers, with the fan-out
+    // announced on the job's event stream.
+    let coordinator = || {
+        shared.coordinator.as_ref().inspect(|coordinator| {
+            job.push_event(
+                format!(
+                    r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
+                    job.id,
+                    coordinator.peers().len()
+                ),
+                true,
+            );
+        })
+    };
     match &job.spec {
         JobSpec::Sweep(spec) => {
-            if let Some(coordinator) = &shared.coordinator {
-                job.push_event(
-                    format!(
-                        r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
-                        job.id,
-                        coordinator.peers().len()
-                    ),
-                    true,
-                );
-                let results = coordinator.run_sweep(spec, &shared.metrics);
-                return api::build_record(spec, &results).to_json_pretty();
-            }
-            let prep = spec.prepare();
-            let mut results = Vec::with_capacity(prep.point_count());
-            for point in 0..prep.point_count() {
-                let mv = spec.voltages_mv[point];
-                let observer = EventObserver::new(|event| {
-                    if let Some(line) = api::event_line(point, mv, &event) {
-                        // Annotations (one per point, carrying the point's
-                        // energy) bypass the event cap so clients always see
-                        // them even on sweeps whose trial chatter overflows
-                        // the buffer.
-                        let force = matches!(event, dante_sim::TrialEvent::Annotation { .. });
-                        job.push_event(line, force);
-                    }
-                });
-                results.push(prep.run_point_observed(point, &observer));
-            }
+            let results = match coordinator() {
+                Some(coordinator) => coordinator.run_sweep(spec, &shared.metrics),
+                None => run_sweep_points(spec, job),
+            };
             api::build_record(spec, &results).to_json_pretty()
         }
         JobSpec::Fleet(spec) => {
-            if let Some(coordinator) = &shared.coordinator {
-                job.push_event(
-                    format!(
-                        r#"{{"event":"shard_fanout","job":"{}","peers":{}}}"#,
-                        job.id,
-                        coordinator.peers().len()
-                    ),
-                    true,
-                );
-                let result = coordinator.run_fleet(spec, &shared.metrics);
-                return api::build_fleet_record(spec, &result).to_json_pretty();
-            }
-            let observer = EventObserver::new(|event| {
-                if let Some(line) = api::fleet_event_line(&event) {
-                    let force = matches!(event, dante_sim::TrialEvent::BatchComplete { .. });
-                    job.push_event(line, force);
-                }
-            });
-            let result = spec.solve_observed(&observer);
+            let result = match coordinator() {
+                Some(coordinator) => coordinator.run_fleet(spec, &shared.metrics),
+                None => spec.solve_observed(&EventObserver::new(|event| {
+                    if let Some(line) = api::fleet_event_line(&event) {
+                        let force = matches!(event, TrialEvent::BatchComplete { .. });
+                        job.push_event(line, force);
+                    }
+                })),
+            };
             api::build_fleet_record(spec, &result).to_json_pretty()
         }
         // Iso solves are interactive-lane work: always computed locally
@@ -412,6 +379,27 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) -> String {
             api::render_retrain(spec, &hardened)
         }
     }
+}
+
+/// Runs a sweep locally, point by point, streaming each trial's events.
+fn run_sweep_points(spec: &SweepSpec, job: &Job) -> Vec<SweepPoint> {
+    let prep = spec.prepare();
+    let mut results = Vec::with_capacity(prep.point_count());
+    for point in 0..prep.point_count() {
+        let mv = spec.voltages_mv[point];
+        let observer = EventObserver::new(|event| {
+            if let Some(line) = api::event_line(point, mv, &event) {
+                // Annotations (one per point, carrying the point's
+                // energy) bypass the event cap so clients always see
+                // them even on sweeps whose trial chatter overflows
+                // the buffer.
+                let force = matches!(event, TrialEvent::Annotation { .. });
+                job.push_event(line, force);
+            }
+        });
+        results.push(prep.run_point_observed(point, &observer));
+    }
+    results
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
@@ -439,19 +427,21 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
             .metrics
             .requests_total
             .fetch_add(1, Ordering::Relaxed);
-        let keep_alive = request.keep_alive && !shared.shutdown.load(Ordering::SeqCst);
         let started = Instant::now();
-        let status = route(&mut write_half, shared, &request, keep_alive);
-        shared.metrics.record_response(status, started.elapsed());
-        if !keep_alive || status == STREAMED {
+        let sent = route(&mut Exchange {
+            stream: &mut write_half,
+            shared,
+            request: &request,
+            keep_alive: request.keep_alive && !shared.shutdown.load(Ordering::SeqCst),
+        });
+        shared
+            .metrics
+            .record_response(sent.status, started.elapsed());
+        if !sent.keep_alive {
             return;
         }
     }
 }
-
-/// Sentinel "status" for responses that manage their own framing (chunked
-/// streams close the connection themselves).
-const STREAMED: u16 = 0;
 
 fn respond_request_error(stream: &mut TcpStream, shared: &Arc<Shared>, error: &RequestError) {
     let (status, message) = match error {
@@ -476,432 +466,117 @@ fn respond_request_error(stream: &mut TcpStream, shared: &Arc<Shared>, error: &R
     );
 }
 
-/// Dispatches one request; returns the response status (or [`STREAMED`]).
-fn route(stream: &mut TcpStream, shared: &Arc<Shared>, request: &Request, keep_alive: bool) -> u16 {
-    let path = request.path.as_str();
-    match (request.method.as_str(), path) {
-        ("POST", "/v1/sweep") => post_sweep(stream, shared, request, keep_alive),
-        ("POST", "/v1/fleet") => post_fleet(stream, shared, request, keep_alive),
-        ("POST", "/v1/retrain") => post_retrain(stream, shared, request, keep_alive),
-        ("POST", "/v1/shard/sweep") => shard_sweep(stream, shared, request, keep_alive),
-        ("POST", "/v1/shard/fleet") => shard_fleet(stream, shared, request, keep_alive),
-        ("GET", "/v1/iso-accuracy") => get_iso_accuracy(stream, shared, request, keep_alive),
-        ("GET", "/healthz") => respond(stream, 200, "text/plain", &[], b"ok\n", keep_alive),
-        ("GET", "/metrics") => {
-            let (hits, misses) = shared.cache.stats();
-            let (queue_interactive, queue_bulk) = shared.queue.lane_depths();
-            let disk = shared.cache.disk_stats();
-            let body = shared.metrics.render(&Gauges {
-                queue_depth: shared.queue.depth(),
-                queue_interactive,
-                queue_bulk,
-                cache_hits: hits,
-                cache_misses: misses,
-                disk_segments: disk.segments,
-                disk_bytes: disk.bytes,
-                disk_records: disk.records,
-                disk_compactions: disk.compactions,
-            });
-            respond(stream, 200, "text/plain", &[], body.as_bytes(), keep_alive)
-        }
-        ("GET", _) if path.starts_with("/v1/jobs/") => {
-            let rest = &path["/v1/jobs/".len()..];
-            if let Some(id) = rest.strip_suffix("/events") {
-                stream_job_events(stream, shared, id)
-            } else if let Some(id) = rest.strip_suffix("/result") {
-                job_result(stream, shared, id, keep_alive)
-            } else {
-                job_status(stream, shared, rest, keep_alive)
-            }
-        }
-        (
-            _,
-            "/v1/sweep" | "/v1/fleet" | "/v1/retrain" | "/v1/shard/sweep" | "/v1/shard/fleet"
-            | "/v1/iso-accuracy" | "/healthz" | "/metrics",
-        ) => respond(
-            stream,
-            405,
-            "application/json",
-            &[],
-            api::error_body("method not allowed").as_bytes(),
-            keep_alive,
-        ),
-        _ => respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such endpoint {path:?}")).as_bytes(),
-            keep_alive,
-        ),
-    }
+/// One request being answered: the connection it arrived on, the server
+/// state, the request, and whether the connection may stay open after
+/// the reply.
+struct Exchange<'a> {
+    stream: &'a mut TcpStream,
+    shared: &'a Shared,
+    request: &'a Request,
+    keep_alive: bool,
 }
 
-fn respond(
-    stream: &mut TcpStream,
+/// What a handler sent: the status the response counters record, and
+/// whether the connection stays open for another request.
+#[derive(Debug, Clone, Copy)]
+struct Sent {
     status: u16,
-    content_type: &str,
-    extra: &[(&str, String)],
-    body: &[u8],
     keep_alive: bool,
-) -> u16 {
-    let _ = http::write_response(stream, status, content_type, extra, body, keep_alive);
-    status
 }
 
-fn post_sweep(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    match api::decode_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Sweep(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
+impl Exchange<'_> {
+    /// Writes a fixed-length response. A 503 means the server is going
+    /// away, so it always closes the connection.
+    fn reply(
+        &mut self,
+        status: u16,
+        content_type: &str,
+        extra: &[(&str, String)],
+        body: &[u8],
+    ) -> Sent {
+        let keep_alive = self.keep_alive && status != 503;
+        let _ = http::write_response(self.stream, status, content_type, extra, body, keep_alive);
+        Sent { status, keep_alive }
     }
-}
 
-/// `POST /v1/fleet`: run a fleet-scale V_min/yield sweep through the same
-/// queue, worker pool, and result cache as `/v1/sweep`. Fleet canonical
-/// strings carry their own `dante.fleet.` prefix, so the two cache-key
-/// families cannot collide; fleet cache hits are counted separately in
-/// `/metrics`.
-fn post_fleet(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    match api::decode_fleet_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Fleet(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
+    /// Writes a JSON response.
+    fn json(&mut self, status: u16, extra: &[(&str, String)], body: &str) -> Sent {
+        self.reply(status, "application/json", extra, body.as_bytes())
+    }
+
+    /// Writes the `{"error": ...}` body every failure reply carries.
+    fn error(&mut self, status: u16, message: &str) -> Sent {
+        self.json(status, &[], &api::error_body(message))
     }
 }
 
-/// `POST /v1/retrain`: run a fault-aware hardening stage through the same
-/// queue, worker pool, and result cache as `/v1/sweep`. Retraining is
-/// bulk-lane work (minutes of training plus two iso solves); the NDJSON
-/// event stream carries one `epoch_start`/`epoch_done` pair per epoch.
-/// Retrain canonical strings carry their own `dante.retrain.` prefix, so
-/// the cache-key families cannot collide; retrain cache hits are counted
-/// separately in `/metrics`.
-fn post_retrain(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    match api::decode_retrain_spec(&request.body) {
-        Ok(spec) => submit_job(stream, shared, request, keep_alive, JobSpec::Retrain(spec)),
-        Err(why) => respond(
-            stream,
-            400,
-            "application/json",
-            &[],
-            api::error_body(&why).as_bytes(),
-            keep_alive,
-        ),
+/// A handler for one fixed endpoint.
+type Handler = fn(&mut Exchange) -> Sent;
+
+/// Turns a request into the work it asks for; `Err` names the bad field.
+type Decoder = fn(&Request) -> Result<JobSpec, String>;
+
+/// Every fixed endpoint as `(method, path, handler)`. [`route`] dispatches
+/// through it, and answers 405 for a listed path under another method.
+const ROUTES: &[(&str, &str, Handler)] = &[
+    ("POST", "/v1/sweep", |x| {
+        submit(x, |r| api::decode_spec(&r.body).map(JobSpec::Sweep))
+    }),
+    ("POST", "/v1/fleet", |x| {
+        submit(x, |r| api::decode_fleet_spec(&r.body).map(JobSpec::Fleet))
+    }),
+    ("POST", "/v1/retrain", |x| {
+        submit(x, |r| {
+            api::decode_retrain_spec(&r.body).map(JobSpec::Retrain)
+        })
+    }),
+    ("POST", SweepSpec::PATH, shard_leg::<SweepSpec>),
+    ("POST", FleetSpec::PATH, shard_leg::<FleetSpec>),
+    ("GET", "/v1/iso-accuracy", |x| submit(x, decode_iso)),
+    ("GET", "/healthz", |x| {
+        x.reply(200, "text/plain", &[], b"ok\n")
+    }),
+    ("GET", "/metrics", get_metrics),
+];
+
+/// Dispatches one request: the fixed [`ROUTES`], then the per-job views
+/// under `/v1/jobs/`, then 405 or 404.
+fn route(x: &mut Exchange) -> Sent {
+    let request = x.request;
+    let (method, path) = (request.method.as_str(), request.path.as_str());
+    if let Some(&(.., handler)) = ROUTES.iter().find(|r| r.0 == method && r.1 == path) {
+        return handler(x);
+    }
+    match path.strip_prefix("/v1/jobs/") {
+        Some(rest) if method == "GET" => job_view(x, rest),
+        _ if ROUTES.iter().any(|r| r.1 == path) => x.error(405, "method not allowed"),
+        _ => x.error(404, &format!("no such endpoint {path:?}")),
     }
 }
 
-/// `POST /v1/shard/sweep`: a coordinator's fan-out leg. Runs the request's
-/// trial window at every grid point synchronously in the connection thread
-/// and returns the raw per-trial accuracies as exact bit patterns —
-/// internal plumbing, deliberately uncached and unqueued (the coordinator
-/// owns caching and scheduling for the whole job).
-fn shard_sweep(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    let (spec, offset, count) = match api::decode_shard_sweep_request(&request.body) {
-        Ok(parts) => parts,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
-    }
-    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let prep = spec.prepare();
-        let observer = EventObserver::new(|_| {});
-        let points: Vec<Vec<f64>> = (0..prep.point_count())
-            .map(|p| prep.run_point_trial_range_observed(p, offset, count, &observer))
-            .collect();
-        api::encode_shard_sweep_response(&points)
-    }));
-    shard_window_response(stream, computed, keep_alive)
+fn get_metrics(x: &mut Exchange) -> Sent {
+    let shared = x.shared;
+    let (hits, misses) = shared.cache.stats();
+    let (queue_interactive, queue_bulk) = shared.queue.lane_depths();
+    let disk = shared.cache.disk_stats();
+    let body = shared.metrics.render(&Gauges {
+        queue_depth: shared.queue.depth(),
+        queue_interactive,
+        queue_bulk,
+        cache_hits: hits,
+        cache_misses: misses,
+        disk_segments: disk.segments,
+        disk_bytes: disk.bytes,
+        disk_records: disk.records,
+        disk_compactions: disk.compactions,
+    });
+    x.reply(200, "text/plain", &[], body.as_bytes())
 }
 
-/// `POST /v1/shard/fleet`: the fleet analogue of [`shard_sweep`] — runs the
-/// request's die window and returns raw per-die outcomes.
-fn shard_fleet(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    let (spec, offset, count) = match api::decode_shard_fleet_request(&request.body) {
-        Ok(parts) => parts,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
-    }
-    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let observer = EventObserver::new(|_| {});
-        api::encode_shard_fleet_response(&spec.solve_die_range_observed(offset, count, &observer))
-    }));
-    shard_window_response(stream, computed, keep_alive)
-}
-
-/// Renders a shard-leg outcome: the encoded window on success, 500 with
-/// the panic message otherwise.
-fn shard_window_response(
-    stream: &mut TcpStream,
-    computed: Result<String, Box<dyn std::any::Any + Send>>,
-    keep_alive: bool,
-) -> u16 {
-    match computed {
-        Ok(body) => respond(
-            stream,
-            200,
-            "application/json",
-            &[],
-            body.as_bytes(),
-            keep_alive,
-        ),
-        Err(panic) => {
-            let why = panic
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| panic.downcast_ref::<&str>().map(|s| (*s).to_owned()))
-                .unwrap_or_else(|| "shard window panicked".to_owned());
-            respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    }
-}
-
-/// Shared submission path for `/v1/sweep`, `/v1/fleet`, and `/v1/retrain`:
-/// cache lookup,
-/// dedup against an identical in-flight job, enqueue (429 on a full queue),
-/// then either a 202 ticket (`?mode=async`) or a synchronous wait.
-fn submit_job(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-    spec: JobSpec,
-) -> u16 {
-    let key = digest(&spec.canonical_string());
-    let wants_async = request.query_param("mode") == Some("async");
-
-    if let Some(body) = shared.cache.get(&key) {
-        if spec.is_fleet() {
-            shared
-                .metrics
-                .fleet_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if spec.is_iso() {
-            shared
-                .metrics
-                .iso_accuracy_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        if spec.is_retrain() {
-            shared
-                .metrics
-                .retrain_cache_hits
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        return respond(
-            stream,
-            200,
-            "application/json",
-            &[("X-Dante-Cache", "hit".to_owned()), ("X-Dante-Digest", key)],
-            body.as_bytes(),
-            keep_alive,
-        );
-    }
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("server shutting down").as_bytes(),
-            false,
-        );
-    }
-
-    // Attach to an identical in-flight job if one exists; otherwise create
-    // and enqueue. Identical concurrent submissions thus cost one
-    // simulation, and — determinism — receive byte-identical bodies.
-    let job = match shared.registry.active_for_digest(&key) {
-        Some(job) => job,
-        None => {
-            let job = shared
-                .registry
-                .create(spec, key.clone(), request.client.clone());
-            if shared.queue.try_push(job.clone()).is_err() {
-                job.set_status(JobStatus::Cancelled, None, Some("queue full".to_owned()));
-                shared.registry.retire(&job);
-                shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
-                let body = api::error_body(&format!(
-                    "queue full ({} waiting); retry shortly",
-                    shared.config.queue_depth
-                ));
-                return respond(
-                    stream,
-                    429,
-                    "application/json",
-                    &[("Retry-After", "1".to_owned())],
-                    body.as_bytes(),
-                    keep_alive,
-                );
-            }
-            job
-        }
-    };
-
-    if wants_async {
-        let body = Value::Object(BTreeMap::from([
-            ("job".to_owned(), Value::String(job.id.clone())),
-            ("digest".to_owned(), Value::String(job.digest.clone())),
-            (
-                "status".to_owned(),
-                Value::String(job.status().token().to_owned()),
-            ),
-        ]))
-        .to_string_compact();
-        return respond(
-            stream,
-            202,
-            "application/json",
-            &[],
-            body.as_bytes(),
-            keep_alive,
-        );
-    }
-
-    match job.wait_terminal(&shared.shutdown) {
-        JobStatus::Done => {
-            let body = job
-                .state
-                .lock()
-                .expect("job lock poisoned")
-                .result
-                .clone()
-                .expect("done job carries a result");
-            respond(
-                stream,
-                200,
-                "application/json",
-                &[
-                    ("X-Dante-Cache", "miss".to_owned()),
-                    ("X-Dante-Digest", job.digest.clone()),
-                ],
-                body.as_bytes(),
-                keep_alive,
-            )
-        }
-        JobStatus::Failed => {
-            let why = job
-                .state
-                .lock()
-                .expect("job lock poisoned")
-                .error
-                .clone()
-                .unwrap_or_else(|| "sweep failed".to_owned());
-            respond(
-                stream,
-                500,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-        _ => respond(
-            stream,
-            503,
-            "application/json",
-            &[],
-            api::error_body("cancelled by shutdown").as_bytes(),
-            false,
-        ),
-    }
-}
-
-/// `GET /v1/iso-accuracy`: solve `V_min` at an accuracy floor and report
-/// each supply configuration's energy there. The solve is deterministic per
-/// query, so results are content-addressed into the same cache as sweeps
-/// (the iso canonical string has its own `dante.iso.` prefix, so the two
-/// key families cannot collide). Cold solves run through the job queue's
-/// interactive lane, so an iso request never waits behind a bulk sweep
-/// backlog; cached results return directly from the connection thread.
-fn get_iso_accuracy(
-    stream: &mut TcpStream,
-    shared: &Arc<Shared>,
-    request: &Request,
-    keep_alive: bool,
-) -> u16 {
-    // `mode` is submission transport (sync vs async ticket), not part of
-    // the solve; strip it before the strict spec decode.
+/// `GET /v1/iso-accuracy` carries its spec in the query string. `mode` is
+/// submission transport (sync vs async ticket), not part of the solve, so
+/// it is stripped before the strict spec decode.
+fn decode_iso(request: &Request) -> Result<JobSpec, String> {
     let spec_query: String = request
         .query
         .split('&')
@@ -911,33 +586,130 @@ fn get_iso_accuracy(
         })
         .collect::<Vec<_>>()
         .join("&");
-    let spec = match api::decode_iso_query(&spec_query) {
-        Ok(spec) => spec,
-        Err(why) => {
-            return respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                api::error_body(&why).as_bytes(),
-                keep_alive,
-            )
-        }
-    };
-    submit_job(stream, shared, request, keep_alive, JobSpec::Iso(spec))
+    api::decode_iso_query(&spec_query).map(JobSpec::Iso)
 }
 
-fn job_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive: bool) -> u16 {
-    let Some(job) = shared.registry.get(id) else {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            keep_alive,
-        );
+/// The one submission path for every job kind: decode (400 names the bad
+/// field), cache lookup, dedup against an identical in-flight job, enqueue
+/// (429 on a full queue), then either a 202 ticket (`?mode=async`) or a
+/// synchronous wait. Every kind shares the queue, worker pool and result
+/// cache; the canonical strings' per-kind prefixes keep the cache-key
+/// families disjoint. Iso solves ride the interactive lane, so they never
+/// wait behind a bulk backlog.
+fn submit(x: &mut Exchange, decode: Decoder) -> Sent {
+    let spec = match decode(x.request) {
+        Ok(spec) => spec,
+        Err(why) => return x.error(400, &why),
     };
+    let shared = x.shared;
+    let key = digest(&spec.canonical_string());
+    if let Some(body) = shared.cache.get(&key) {
+        shared.metrics.record_cache_hit(spec.kind());
+        let headers = [("X-Dante-Cache", "hit".to_owned()), ("X-Dante-Digest", key)];
+        return x.json(200, &headers, &body);
+    }
+    if shared.shutdown.load(Ordering::SeqCst) {
+        return x.error(503, "server shutting down");
+    }
+
+    // Attach to an identical in-flight job if one exists; otherwise create
+    // and enqueue. Identical concurrent submissions thus cost one
+    // simulation, and — determinism — receive byte-identical bodies.
+    let job = match shared.registry.active_for_digest(&key) {
+        Some(job) => job,
+        None => {
+            let job = shared.registry.create(spec, key, x.request.client.clone());
+            if shared.queue.try_push(job.clone()).is_err() {
+                job.set_status(JobStatus::Cancelled, None, Some("queue full".to_owned()));
+                shared.registry.retire(&job);
+                shared.metrics.jobs_rejected.fetch_add(1, Ordering::Relaxed);
+                let body = api::error_body(&format!(
+                    "queue full ({} waiting); retry shortly",
+                    shared.config.queue_depth
+                ));
+                return x.json(429, &[("Retry-After", "1".to_owned())], &body);
+            }
+            job
+        }
+    };
+
+    if x.request.query_param("mode") == Some("async") {
+        let body = Value::Object(BTreeMap::from([
+            ("job".to_owned(), Value::String(job.id.clone())),
+            ("digest".to_owned(), Value::String(job.digest.clone())),
+            (
+                "status".to_owned(),
+                Value::String(job.status().token().to_owned()),
+            ),
+        ]))
+        .to_string_compact();
+        return x.json(202, &[], &body);
+    }
+
+    match job.wait_terminal(&shared.shutdown) {
+        JobStatus::Done => {
+            let state = job.state.lock().expect("job lock poisoned");
+            let body = state.result.clone().expect("done job carries a result");
+            drop(state);
+            let headers = [
+                ("X-Dante-Cache", "miss".to_owned()),
+                ("X-Dante-Digest", job.digest.clone()),
+            ];
+            x.json(200, &headers, &body)
+        }
+        JobStatus::Failed => {
+            let state = job.state.lock().expect("job lock poisoned");
+            let why = state
+                .error
+                .clone()
+                .unwrap_or_else(|| "sweep failed".to_owned());
+            drop(state);
+            x.error(500, &why)
+        }
+        _ => x.error(503, "cancelled by shutdown"),
+    }
+}
+
+/// `POST /v1/shard/{sweep,fleet}`: a coordinator's fan-out leg. Runs the
+/// request's window synchronously in the connection thread and returns
+/// the raw per-trial (or per-die) results as exact bit patterns —
+/// internal plumbing, deliberately uncached and unqueued (the coordinator
+/// owns caching and scheduling for the whole job).
+fn shard_leg<W: ShardWork>(x: &mut Exchange) -> Sent {
+    let (spec, offset, count) = match W::decode_request(&x.request.body) {
+        Ok(parts) => parts,
+        Err(why) => return x.error(400, &why),
+    };
+    if x.shared.shutdown.load(Ordering::SeqCst) {
+        return x.error(503, "server shutting down");
+    }
+    let computed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        W::encode_window(&spec.window_runner()(offset, count))
+    }));
+    match computed {
+        Ok(body) => x.json(200, &[], &body),
+        Err(panic) => x.error(500, &panic_message(&*panic, "shard window panicked")),
+    }
+}
+
+/// `GET /v1/jobs/<id>`, `/v1/jobs/<id>/result` and `/v1/jobs/<id>/events`:
+/// a job's status, its raw result, or its progress stream.
+fn job_view(x: &mut Exchange, rest: &str) -> Sent {
+    let (id, view) = match rest.rsplit_once('/') {
+        Some((id, view @ ("events" | "result"))) => (id, view),
+        _ => (rest, ""),
+    };
+    let Some(job) = x.shared.registry.get(id) else {
+        return x.error(404, &format!("no such job {id:?}"));
+    };
+    match view {
+        "events" => stream_job_events(x, &job),
+        "result" => job_result(x, &job),
+        _ => job_status(x, &job),
+    }
+}
+
+fn job_status(x: &mut Exchange, job: &Job) -> Sent {
     let state = job.state.lock().expect("job lock poisoned");
     let mut obj = BTreeMap::from([
         ("id".to_owned(), Value::String(job.id.clone())),
@@ -971,74 +743,30 @@ fn job_status(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive
         obj.insert("error".to_owned(), Value::String(error.clone()));
     }
     drop(state);
-    let body = Value::Object(obj).to_string_compact();
-    respond(
-        stream,
-        200,
-        "application/json",
-        &[],
-        body.as_bytes(),
-        keep_alive,
-    )
+    x.json(200, &[], &Value::Object(obj).to_string_compact())
 }
 
-fn job_result(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str, keep_alive: bool) -> u16 {
-    let Some(job) = shared.registry.get(id) else {
-        return respond(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            keep_alive,
-        );
-    };
+fn job_result(x: &mut Exchange, job: &Job) -> Sent {
     let state = job.state.lock().expect("job lock poisoned");
-    match (&state.result, state.status) {
-        (Some(result), _) => {
-            let body = result.clone();
-            drop(state);
-            respond(
-                stream,
-                200,
-                "application/json",
-                &[("X-Dante-Digest", job.digest.clone())],
-                body.as_bytes(),
-                keep_alive,
-            )
-        }
-        (None, status) => {
-            drop(state);
-            respond(
-                stream,
-                404,
-                "application/json",
-                &[],
-                api::error_body(&format!("job is {}, no result", status.token())).as_bytes(),
-                keep_alive,
-            )
-        }
+    let (result, status) = (state.result.clone(), state.status);
+    drop(state);
+    match result {
+        Some(body) => x.json(200, &[("X-Dante-Digest", job.digest.clone())], &body),
+        None => x.error(404, &format!("job is {}, no result", status.token())),
     }
 }
 
 /// Streams a job's progress events as one JSON line per chunk, replaying
 /// history first and then following live until the job ends or the server
 /// shuts down (which terminates the chunk stream cleanly with a final
-/// `shutdown` event).
-fn stream_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> u16 {
-    let Some(job) = shared.registry.get(id) else {
-        let _ = http::write_response(
-            stream,
-            404,
-            "application/json",
-            &[],
-            api::error_body(&format!("no such job {id:?}")).as_bytes(),
-            false,
-        );
-        return 404;
+/// `shutdown` event). A chunked stream always closes its connection.
+fn stream_job_events(x: &mut Exchange, job: &Job) -> Sent {
+    let streamed = Sent {
+        status: 200,
+        keep_alive: false,
     };
-    let Ok(mut chunks) = ChunkedResponse::start(stream, 200, "application/x-ndjson") else {
-        return STREAMED;
+    let Ok(mut chunks) = ChunkedResponse::start(x.stream, 200, "application/x-ndjson") else {
+        return streamed;
     };
     let mut cursor = 0usize;
     loop {
@@ -1056,7 +784,7 @@ fn stream_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> 
             line.push_str(event);
             line.push('\n');
             if chunks.chunk(line.as_bytes()).is_err() {
-                return STREAMED; // client went away
+                return streamed; // client went away
             }
         }
         if status.is_terminal() {
@@ -1065,7 +793,7 @@ fn stream_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> 
             );
             break;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if x.shared.shutdown.load(Ordering::SeqCst) {
             let _ = chunks.chunk(b"{\"event\":\"shutdown\"}\n");
             break;
         }
@@ -1079,7 +807,7 @@ fn stream_job_events(stream: &mut TcpStream, shared: &Arc<Shared>, id: &str) -> 
         }
     }
     let _ = chunks.finish();
-    STREAMED
+    streamed
 }
 
 #[cfg(test)]

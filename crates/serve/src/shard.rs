@@ -28,13 +28,136 @@
 use crate::api;
 use crate::metrics::Metrics;
 use dante::fleet::{DieOutcome, FleetResult, FleetSpec};
-use dante::sweep::{shard_ranges, PreparedSweep, SweepPoint, SweepSpec};
-use dante_sim::EventObserver;
+use dante::sweep::{shard_ranges, SweepPoint, SweepSpec};
+use dante_sim::NoopObserver;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc, OnceLock};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
+
+/// The per-kind half of scale-out: how a job kind windows its seeded
+/// axis, puts a window on the wire, and merges windows back. The fan-out
+/// and the peers' shard-leg endpoint are shared by every kind.
+pub(crate) trait ShardWork: Sized + Sync {
+    /// One window's raw results.
+    type Window: Send;
+    /// The merged result, identical to an unsharded run.
+    type Merged;
+    /// The peer endpoint that computes one window.
+    const PATH: &'static str;
+    /// Length of the sharded axis.
+    fn axis_len(&self) -> usize;
+    /// The leg request for the window `[offset, offset + count)`.
+    fn encode_request(&self, offset: usize, count: usize) -> String;
+    /// Parses a leg request into `(spec, offset, count)`.
+    fn decode_request(body: &[u8]) -> Result<(Self, usize, usize), String>;
+    /// The leg response carrying a computed window.
+    fn encode_window(window: &Self::Window) -> String;
+    /// Parses a leg response.
+    fn decode_window(body: &[u8]) -> Result<Self::Window, String>;
+    /// Whether a peer's window has the shape a `count`-wide window needs.
+    fn window_fits(&self, window: &Self::Window, count: usize) -> bool;
+    /// A local window runner. One-off preparation (network training)
+    /// happens here, once, however many windows the runner then computes.
+    fn window_runner(&self) -> impl Fn(usize, usize) -> Self::Window + '_;
+    /// Merges every window, given in axis order.
+    fn merge(&self, windows: Vec<Self::Window>) -> Self::Merged;
+}
+
+/// Sweeps shard their per-point trial axis: every window runs its trial
+/// slice at every grid point, and windows return raw per-trial accuracies.
+impl ShardWork for SweepSpec {
+    type Window = Vec<Vec<f64>>;
+    type Merged = Vec<SweepPoint>;
+    const PATH: &'static str = "/v1/shard/sweep";
+
+    fn axis_len(&self) -> usize {
+        self.trials
+    }
+
+    fn encode_request(&self, offset: usize, count: usize) -> String {
+        api::encode_shard_sweep_request(self, offset, count)
+    }
+
+    fn decode_request(body: &[u8]) -> Result<(Self, usize, usize), String> {
+        api::decode_shard_sweep_request(body)
+    }
+
+    fn encode_window(window: &Self::Window) -> String {
+        api::encode_shard_sweep_response(window)
+    }
+
+    fn decode_window(body: &[u8]) -> Result<Self::Window, String> {
+        api::decode_shard_sweep_response(body)
+    }
+
+    fn window_fits(&self, window: &Self::Window, count: usize) -> bool {
+        window.len() == self.voltages_mv.len() && window.iter().all(|p| p.len() == count)
+    }
+
+    fn window_runner(&self) -> impl Fn(usize, usize) -> Self::Window + '_ {
+        let prep = self.prepare();
+        move |offset, count| {
+            (0..prep.point_count())
+                .map(|p| prep.run_point_trial_range_observed(p, offset, count, &NoopObserver))
+                .collect()
+        }
+    }
+
+    fn merge(&self, windows: Vec<Self::Window>) -> Vec<SweepPoint> {
+        // Concatenate windows in offset order per point, then reassemble
+        // stats/energy through the same code a local run uses (the energy
+        // context never trains the network).
+        let ctx = self.energy_context();
+        let mut per_point: Vec<Vec<f64>> = vec![Vec::with_capacity(self.trials); ctx.point_count()];
+        for window in windows {
+            for (point, trials) in window.into_iter().enumerate() {
+                per_point[point].extend(trials);
+            }
+        }
+        ctx.assemble(per_point)
+    }
+}
+
+/// Fleets shard their die axis; windows return raw per-die outcomes.
+impl ShardWork for FleetSpec {
+    type Window = Vec<DieOutcome>;
+    type Merged = FleetResult;
+    const PATH: &'static str = "/v1/shard/fleet";
+
+    fn axis_len(&self) -> usize {
+        self.dies
+    }
+
+    fn encode_request(&self, offset: usize, count: usize) -> String {
+        api::encode_shard_fleet_request(self, offset, count)
+    }
+
+    fn decode_request(body: &[u8]) -> Result<(Self, usize, usize), String> {
+        api::decode_shard_fleet_request(body)
+    }
+
+    fn encode_window(window: &Self::Window) -> String {
+        api::encode_shard_fleet_response(window)
+    }
+
+    fn decode_window(body: &[u8]) -> Result<Self::Window, String> {
+        api::decode_shard_fleet_response(body)
+    }
+
+    fn window_fits(&self, window: &Self::Window, count: usize) -> bool {
+        window.len() == count
+    }
+
+    fn window_runner(&self) -> impl Fn(usize, usize) -> Self::Window + '_ {
+        move |offset, count| self.solve_die_range_observed(offset, count, &NoopObserver)
+    }
+
+    fn merge(&self, windows: Vec<Self::Window>) -> FleetResult {
+        self.assemble(&windows.concat())
+    }
+}
 
 /// Fans sweep/fleet windows out to a fixed peer list. Built once at server
 /// start from `DANTE_SERVE_PEERS`.
@@ -76,112 +199,55 @@ impl Coordinator {
         &self.peers
     }
 
-    /// Runs `spec` sharded across the peers and merges the result —
+    /// Runs `spec` sharded along its trial axis and merges the result —
     /// byte-identical to `spec.prepare().run()`.
-    ///
-    /// The trial axis is partitioned (every shard runs its trial window at
-    /// every grid point), so shards share nothing but the spec. Windows
-    /// whose every leg fails are computed locally; the one-off local
-    /// preparation (network training) is shared across such windows.
     #[must_use]
     pub fn run_sweep(&self, spec: &SweepSpec, metrics: &Arc<Metrics>) -> Vec<SweepPoint> {
-        let ctx = spec.energy_context();
-        let windows = shard_ranges(spec.trials, self.peers.len());
-        let (tx, rx) = mpsc::channel();
-        for (shard, &(offset, count)) in windows.iter().enumerate() {
-            let tx = tx.clone();
-            let body: Arc<Vec<u8>> =
-                Arc::new(api::encode_shard_sweep_request(spec, offset, count).into_bytes());
-            let this = self.clone();
-            let metrics = metrics.clone();
-            std::thread::spawn(move || {
-                let outcome = this.fetch_window(shard, "/v1/shard/sweep", &body, &metrics);
-                let decoded = outcome.and_then(|bytes| api::decode_shard_sweep_response(&bytes));
-                let _ = tx.send((shard, decoded));
-            });
-        }
-        drop(tx);
-
-        let mut per_shard: Vec<Option<Vec<Vec<f64>>>> = vec![None; windows.len()];
-        let mut failures: Vec<usize> = Vec::new();
-        for (shard, outcome) in rx {
-            match outcome {
-                Ok(points)
-                    if points.len() == ctx.point_count()
-                        && points.iter().all(|p| p.len() == windows[shard].1) =>
-                {
-                    per_shard[shard] = Some(points);
-                }
-                Ok(_) | Err(_) => failures.push(shard),
-            }
-        }
-        if !failures.is_empty() {
-            // Local fallback: train once, then run just the failed windows.
-            let prep: OnceLock<PreparedSweep> = OnceLock::new();
-            let observer = EventObserver::new(|_| {});
-            for shard in failures {
-                metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-                let (offset, count) = windows[shard];
-                let prep = prep.get_or_init(|| spec.prepare());
-                let points = (0..ctx.point_count())
-                    .map(|p| prep.run_point_trial_range_observed(p, offset, count, &observer))
-                    .collect();
-                per_shard[shard] = Some(points);
-            }
-        }
-        // Concatenate windows in offset order per point, then reassemble
-        // stats/energy through the same code a local run uses.
-        let mut per_point: Vec<Vec<f64>> = vec![Vec::with_capacity(spec.trials); ctx.point_count()];
-        for shard_points in per_shard
-            .into_iter()
-            .map(|s| s.expect("every window resolved"))
-        {
-            for (point, trials) in shard_points.into_iter().enumerate() {
-                per_point[point].extend(trials);
-            }
-        }
-        ctx.assemble(per_point)
+        self.fan_out(spec, metrics)
     }
 
-    /// Runs `spec` sharded across the peers and merges the result —
-    /// byte-identical to `spec.solve()`. Windows whose every leg fails are
-    /// computed locally.
+    /// Runs `spec` sharded along its die axis and merges the result —
+    /// byte-identical to `spec.solve()`.
     #[must_use]
     pub fn run_fleet(&self, spec: &FleetSpec, metrics: &Arc<Metrics>) -> FleetResult {
-        let windows = shard_ranges(spec.dies, self.peers.len());
-        let (tx, rx) = mpsc::channel();
-        for (shard, &(offset, count)) in windows.iter().enumerate() {
-            let tx = tx.clone();
-            let body: Arc<Vec<u8>> =
-                Arc::new(api::encode_shard_fleet_request(spec, offset, count).into_bytes());
-            let this = self.clone();
-            let metrics = metrics.clone();
-            std::thread::spawn(move || {
-                let outcome = this.fetch_window(shard, "/v1/shard/fleet", &body, &metrics);
-                let decoded = outcome.and_then(|bytes| api::decode_shard_fleet_response(&bytes));
-                let _ = tx.send((shard, decoded));
-            });
-        }
-        drop(tx);
+        self.fan_out(spec, metrics)
+    }
 
-        let mut per_shard: Vec<Option<Vec<DieOutcome>>> = vec![None; windows.len()];
-        for (shard, outcome) in rx {
-            match outcome {
-                Ok(dies) if dies.len() == windows[shard].1 => per_shard[shard] = Some(dies),
-                Ok(_) | Err(_) => {
-                    metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    let (offset, count) = windows[shard];
-                    let observer = EventObserver::new(|_| {});
-                    per_shard[shard] =
-                        Some(spec.solve_die_range_observed(offset, count, &observer));
-                }
-            }
-        }
-        let dies: Vec<DieOutcome> = per_shard
+    /// Sends one leg per window to the peers, then merges. Shards share
+    /// nothing but the spec. Windows whose every leg fails, or whose
+    /// answer has the wrong shape, are computed locally, sharing one
+    /// preparation.
+    fn fan_out<W: ShardWork>(&self, spec: &W, metrics: &Arc<Metrics>) -> W::Merged {
+        let windows = shard_ranges(spec.axis_len(), self.peers.len());
+        let fetched: Vec<Option<W::Window>> = std::thread::scope(|scope| {
+            let legs: Vec<_> = windows
+                .iter()
+                .enumerate()
+                .map(|(shard, &(offset, count))| {
+                    let body = Arc::new(spec.encode_request(offset, count).into_bytes());
+                    scope.spawn(move || {
+                        let bytes = self.fetch_window(shard, W::PATH, &body, metrics).ok()?;
+                        let window = W::decode_window(&bytes).ok()?;
+                        spec.window_fits(&window, count).then_some(window)
+                    })
+                })
+                .collect();
+            legs.into_iter()
+                .map(|leg| leg.join().ok().flatten())
+                .collect()
+        });
+        let mut run = None;
+        let merged = fetched
             .into_iter()
-            .flat_map(|s| s.expect("every window resolved"))
+            .zip(&windows)
+            .map(|(window, &(offset, count))| {
+                window.unwrap_or_else(|| {
+                    metrics.shard_fallbacks.fetch_add(1, Ordering::Relaxed);
+                    run.get_or_insert_with(|| spec.window_runner())(offset, count)
+                })
+            })
             .collect();
-        spec.assemble(&dies)
+        spec.merge(merged)
     }
 
     /// Fetches one window's raw result with retry + hedging.
@@ -326,6 +392,7 @@ fn http_post(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dante_sim::EventObserver;
     use std::net::TcpListener;
 
     fn test_coordinator(peers: Vec<String>) -> Coordinator {

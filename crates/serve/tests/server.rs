@@ -852,3 +852,123 @@ fn unknown_routes_and_methods_are_mapped_to_404_and_405() {
     handle.shutdown();
     assert!(handle.join());
 }
+
+/// Sends `raw` on a fresh connection and reads until the server closes
+/// it, so every counter the exchange touches is recorded by the time this
+/// returns. Returns the status and everything after the response head.
+fn exchange_until_close(addr: SocketAddr, raw: &str) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("timeout");
+    stream.write_all(raw.as_bytes()).expect("write");
+    let mut all = Vec::new();
+    stream.read_to_end(&mut all).expect("read until close");
+    let text = String::from_utf8(all).expect("UTF-8 response");
+    let status = text
+        .split(' ')
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or_else(|| panic!("malformed response {text:?}"));
+    let body = text
+        .split_once("\r\n\r\n")
+        .map_or("", |(_, b)| b)
+        .to_owned();
+    (status, body)
+}
+
+#[test]
+fn event_streams_count_as_2xx_responses_not_5xx() {
+    let handle = boot(ServerConfig::default());
+    let addr = handle.addr();
+    let get_closing = |path: &str| {
+        exchange_until_close(
+            addr,
+            &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
+        )
+    };
+
+    let payload = r#"{"network": "toy", "trials": 2, "voltages_mv": [400, 500], "seed": 21}"#;
+    let (status, ticket) = exchange_until_close(
+        addr,
+        &format!(
+            "POST /v1/sweep?mode=async HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{payload}",
+            payload.len(),
+        ),
+    );
+    assert_eq!(status, 202, "{ticket}");
+    let needle = r#""job":""#;
+    let start = ticket.find(needle).expect("job id") + needle.len();
+    let job_id = ticket[start..].split('"').next().unwrap().to_owned();
+    let mut answered = 1u64;
+
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    loop {
+        let (status, body) = get_closing(&format!("/v1/jobs/{job_id}"));
+        assert_eq!(status, 200, "{body}");
+        answered += 1;
+        if body.contains(r#""status":"done""#) {
+            break;
+        }
+        assert!(std::time::Instant::now() < deadline, "job finished in time");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    // The stream of a finished job replays its events and ends cleanly.
+    let (status, stream) = get_closing(&format!("/v1/jobs/{job_id}/events"));
+    assert_eq!(status, 200);
+    assert!(
+        stream.contains(r#""event":"end","status":"done""#),
+        "{stream}"
+    );
+    assert!(stream.ends_with("0\r\n\r\n"), "clean chunked termination");
+    answered += 1;
+
+    let (status, metrics) = get_closing("/metrics");
+    assert_eq!(status, 200);
+    assert!(
+        metrics.contains("dante_serve_responses_5xx_total 0\n"),
+        "a finished stream is not a server error:\n{metrics}"
+    );
+    assert!(
+        metrics.contains(&format!("dante_serve_responses_2xx_total {answered}\n")),
+        "the 2xx count includes the stream ({answered} answered):\n{metrics}"
+    );
+
+    handle.shutdown();
+    assert!(handle.join());
+}
+
+#[test]
+fn unknown_job_event_stream_404_keeps_the_connection_alive() {
+    let handle = boot(ServerConfig::default());
+    let stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut writer = stream.try_clone().expect("clone socket");
+    let mut reader = BufReader::new(stream);
+
+    writer
+        .write_all(b"GET /v1/jobs/job-none/events HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("write");
+    let missing = read_response(&mut reader);
+    assert_eq!(missing.status, 404);
+    assert_eq!(missing.header("Connection"), Some("keep-alive"));
+    assert!(
+        missing.body_str().contains("no such job"),
+        "{}",
+        missing.body_str()
+    );
+
+    // The same connection answers the next request.
+    writer
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .expect("write");
+    let health = read_response(&mut reader);
+    assert_eq!(health.status, 200);
+    assert_eq!(health.body_str(), "ok\n");
+
+    handle.shutdown();
+    assert!(handle.join());
+}
