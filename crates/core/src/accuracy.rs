@@ -286,6 +286,8 @@ struct TrialScratch {
     dirty_images: Vec<usize>,
     /// Dirty output columns/channels of the first corrupted layer.
     dirty_units: Vec<usize>,
+    /// Seen-bitset over those units, one bit per column/channel.
+    unit_seen: Vec<u64>,
 }
 
 impl TrialScratch {
@@ -302,6 +304,7 @@ impl TrialScratch {
             batched: BatchedScratch::new(),
             dirty_images: Vec::new(),
             dirty_units: Vec::new(),
+            unit_seen: Vec::new(),
         }
     }
 }
@@ -314,6 +317,41 @@ enum DirtyKind {
     Full,
     DenseCols,
     ConvChans,
+}
+
+/// Fills `out` with the output units (`unit_of(element) < units`) that the
+/// touched words of weight layer `pos` feed, ascending and without
+/// duplicates. `seen` is a one-bit-per-unit scratch bitset, so the list
+/// costs one pass over the touched lanes plus one over the bitset, with no
+/// sort.
+fn collect_dirty_units(
+    touched: &[(usize, usize)],
+    pos: usize,
+    image: &PackedImage,
+    units: usize,
+    unit_of: impl Fn(usize) -> usize,
+    seen: &mut Vec<u64>,
+    out: &mut Vec<usize>,
+) {
+    seen.clear();
+    seen.resize(units.div_ceil(64), 0);
+    let lanes = image.lanes();
+    for &(target, w) in touched {
+        if target == pos {
+            for e in w * lanes..(w * lanes + lanes).min(image.len) {
+                let unit = unit_of(e);
+                seen[unit / 64] |= 1u64 << (unit % 64);
+            }
+        }
+    }
+    out.clear();
+    for (i, &word) in seen.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            out.push(i * 64 + bits.trailing_zeros() as usize);
+            bits &= bits - 1;
+        }
+    }
 }
 
 /// The mutable weight-value slice of the layer at `idx` (which must be a
@@ -687,6 +725,7 @@ impl AccuracyEvaluator {
             batched,
             dirty_images,
             dirty_units,
+            unit_seen,
             ..
         } = scratch;
         // Every lane of a flipped input word belongs to exactly one image;
@@ -721,20 +760,19 @@ impl AccuracyEvaluator {
         let localized = first_pos.map(|pos| {
             let layer_idx = prep.layer_indices[pos];
             let image = &prep.layers[pos];
-            let lanes = image.lanes();
             let kind = match &net.layers()[layer_idx] {
                 Layer::Dense(d) => {
                     // Row-major (in, out): element `e` feeds column `e % out`.
                     let out_l = d.weights().dims().1;
-                    for &(target, w) in touched.iter() {
-                        if target == pos {
-                            for e in w * lanes..(w * lanes + lanes).min(image.len) {
-                                dirty_units.push(e % out_l);
-                            }
-                        }
-                    }
-                    dirty_units.sort_unstable();
-                    dirty_units.dedup();
+                    collect_dirty_units(
+                        touched,
+                        pos,
+                        image,
+                        out_l,
+                        |e| e % out_l,
+                        unit_seen,
+                        dirty_units,
+                    );
                     if dirty_units.len() * 4 <= out_l {
                         DirtyKind::DenseCols
                     } else {
@@ -746,15 +784,15 @@ impl AccuracyEvaluator {
                     // feeds output channel `e / (in_c*k*k)`.
                     let per_ch = conv.in_shape().c * conv.kernel() * conv.kernel();
                     let out_c = conv.out_shape().c;
-                    for &(target, w) in touched.iter() {
-                        if target == pos {
-                            for e in w * lanes..(w * lanes + lanes).min(image.len) {
-                                dirty_units.push(e / per_ch);
-                            }
-                        }
-                    }
-                    dirty_units.sort_unstable();
-                    dirty_units.dedup();
+                    collect_dirty_units(
+                        touched,
+                        pos,
+                        image,
+                        out_c,
+                        |e| e / per_ch,
+                        unit_seen,
+                        dirty_units,
+                    );
                     if dirty_units.len() * 4 <= out_c {
                         DirtyKind::ConvChans
                     } else {

@@ -17,8 +17,7 @@
 use crate::sweep::GeometrySpec;
 use dante_circuit::units::Volt;
 use dante_sim::{derive_seed, site, NoopObserver, TrialEngine, TrialObserver};
-use dante_sram::model::{CellFaultRate, FaultModel};
-use dante_sram::sparse::SparseCell;
+use dante_sram::model::{CellFaultRate, FaultModel, SummaryScratch};
 use dante_sram::yield_model::array_yield;
 use std::fmt::Write as _;
 
@@ -236,29 +235,28 @@ impl FleetSpec {
         let floor = Volt::from_millivolts(f64::from(self.voltages_mv[0]));
         let floor_f32 = floor.volts() as f32;
         let engine = TrialEngine::from_env();
-        // One die per trial. Reusing the overlay buffers per worker keeps
+        // One die per trial. Reusing the summary buffers per worker keeps
         // the hot path allocation-free, exactly like the accuracy
         // evaluator; die results are reassembled in die order by the
         // engine regardless of scheduling.
         engine.run_scratch_observed(
             die_count,
             observer,
-            || (Vec::<u64>::new(), Vec::<SparseCell>::new()),
-            |local_index, (indices, cells)| {
+            SummaryScratch::default,
+            |local_index, scratch| {
                 // Seed by the global die index: the window is positional in
                 // the full population.
                 let die_index = die_offset + local_index;
                 let die_seed = derive_seed(self.seed, site::FLEET_DIE, die_index as u64);
                 let die = self.fault_model.resolve_die(die_seed);
-                die.sample_cells_into(self.array_bits, floor, die_seed, indices, cells);
-                observer.on_fault_bits(local_index, cells.len() as u64);
-                // The die's V_min is its worst cell; a die with no faulty
-                // cell at the floor is censored (V_min <= floor).
-                let v_min = cells
-                    .iter()
-                    .map(|c| c.vmin)
-                    .fold(f32::NEG_INFINITY, f32::max);
-                if cells.is_empty() {
+                // The die's V_min is its worst cell, and the summary finds
+                // it without a V_min per cell.
+                let (fault_cells, v_min) =
+                    die.fault_summary(self.array_bits, floor, die_seed, scratch);
+                observer.on_fault_bits(local_index, fault_cells as u64);
+                // A die with no faulty cell at the floor is censored
+                // (V_min <= floor).
+                if fault_cells == 0 {
                     DieOutcome {
                         v_min: f64::from(floor_f32),
                         censored: true,
@@ -268,7 +266,7 @@ impl FleetSpec {
                     DieOutcome {
                         v_min: f64::from(v_min),
                         censored: false,
-                        fault_cells: cells.len() as u64,
+                        fault_cells: fault_cells as u64,
                     }
                 }
             },

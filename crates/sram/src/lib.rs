@@ -56,7 +56,7 @@ pub use ecc::{decode as ecc_decode, encode as ecc_encode, Codeword, Correction};
 pub use fault::{VminFaultModel, DEFAULT_READ_FLIP_PROBABILITY, V_DATA_RETENTION};
 pub use fault_map::{FaultMask, VminField};
 pub use geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
-pub use model::{BurstDie, CellFaultRate, DieFaultModel, FaultModel};
+pub use model::{BurstDie, CellFaultRate, DieFaultModel, FaultModel, SummaryScratch};
 pub use sparse::{SparseCell, SparseOverlay};
 pub use storage::{AccessStats, CorruptionOverlay, FaultOverlay, FaultyMacro};
 pub use yield_model::{array_yield, array_yield_secded, vmin_for_yield, vmin_for_yield_secded};

@@ -12,7 +12,8 @@
 //! The module also hosts the sparse tail samplers used by
 //! [`crate::sparse::SparseOverlay`]: geometric-gap Bernoulli index sampling
 //! (an exact draw of the faulty-cell set in O(faulty cells) expected time)
-//! and truncated-tail Gaussian draws via the inverse CDF.
+//! and truncated-tail Gaussian draws via the inverse CDF, plus the window
+//! ([`worst_cell_window`]) within which a population's worst cell must lie.
 
 use rand::Rng;
 
@@ -371,24 +372,86 @@ fn floored_gaps_core(uniforms: &[f64], ln_q: f64, gaps: &mut [f64]) {
 }
 
 /// Draws one value from the Gaussian `N(mu, sigma)` *conditioned on being
-/// greater than `floor`*, via the inverse tail CDF: with
-/// `p_f = Q((floor - mu) / sigma)` and `u ~ U(0, 1)`, the draw is
-/// `mu + sigma * Q^{-1}(u * p_f)`.
+/// greater than a floor*, via the inverse tail CDF: with the floor's tail
+/// mass `p_floor = Q((floor - mu) / sigma)` and `u ~ U(0, 1)`, the draw is
+/// `mu + sigma * Q^{-1}(u * p_floor)`.
+///
+/// The caller computes `p_floor` once per cell population, with exactly
+/// that expression, instead of paying an `erfc` per draw.
 ///
 /// # Panics
 ///
-/// Panics if `sigma` is not strictly positive or the tail beyond `floor`
-/// carries no numerically representable mass.
+/// Panics if `sigma` is not strictly positive or `p_floor` is not (the
+/// tail beyond the floor must carry numerically representable mass).
 #[must_use]
-pub fn truncated_tail_normal<R: Rng + ?Sized>(mu: f64, sigma: f64, floor: f64, rng: &mut R) -> f64 {
+pub fn truncated_tail_normal<R: Rng + ?Sized>(
+    mu: f64,
+    sigma: f64,
+    p_floor: f64,
+    rng: &mut R,
+) -> f64 {
     assert!(sigma > 0.0, "sigma must be positive, got {sigma}");
-    let p_floor = q_tail((floor - mu) / sigma);
     assert!(
         p_floor > 0.0,
-        "no Gaussian mass above floor {floor} (mu {mu}, sigma {sigma})"
+        "no Gaussian mass above the floor (mu {mu}, sigma {sigma})"
     );
-    let t = (sample_unit_open(rng) * p_floor).max(f64::MIN_POSITIVE);
-    mu + sigma * q_tail_inv(t)
+    mu + sigma * q_tail_inv(tail_probability(sample_unit_open(rng), p_floor))
+}
+
+/// The tail probability [`truncated_tail_normal`] inverts for the uniform
+/// `u`: `u * p_floor`, clamped to stay a normal positive number. Monotone
+/// non-decreasing in `u` (a rounded product and a `max` both are).
+#[inline]
+#[must_use]
+pub(crate) fn tail_probability(u: f64, p_floor: f64) -> f64 {
+    (u * p_floor).max(f64::MIN_POSITIVE)
+}
+
+/// Relative reach of the worst-cell window (`2^-30`); see
+/// [`worst_cell_window`].
+///
+/// Derivation: away from the absolute term's range, the computed
+/// [`q_tail_inv`] departs from a monotone function only by the rounding of
+/// its Acklam + Halley arithmetic, a few ulps of `z`. Since
+/// `dz / d(ln t) = -t / phi(z)`, whose magnitude is at least `~1/|z|`, a
+/// few ulps of `z` are a relative change in `t` of at most
+/// `~|z|^2 * 2^-52`. `|z|` peaks at 37.5 at the `MIN_POSITIVE` clamp, so
+/// the bound is about `3e-13`; dense scans measure at most `7.9e-13`
+/// (near `t = 1e-300`). `2^-30 ~ 9.3e-10` leaves three orders of
+/// magnitude of margin.
+const WORST_CELL_REL_WINDOW: f64 = 1.0 / 1_073_741_824.0;
+
+/// Absolute reach of the worst-cell window (`2^-50`); see
+/// [`worst_cell_window`].
+///
+/// Derivation: for `t < 0.5` the Halley step evaluates
+/// `phi_cdf(x) = 1 - (1 - phi(-x) * poly)`, whose value is a multiple of
+/// `2^-53`, so the step inverts the CDF at `t` shifted by up to half that
+/// quantum. Where `t` is not far above `2^-53` (about `1e-18` to `1e-12`)
+/// the shift is a large share of `t`, and two probabilities need an
+/// absolute separation of one quantum before their order is certain:
+/// near `1e-18` the relative gap needed exceeds 10. Dense scans never
+/// measure a reach above `2^-53 ~ 1.1e-16`; `2^-50` is eight quanta.
+const WORST_CELL_ABS_WINDOW: f64 = 1.0 / 1_125_899_906_842_624.0;
+
+/// End of the certification window around a cell population's smallest
+/// tail probability `t_min`: every `t` above it satisfies
+/// `q_tail_inv(t) <= q_tail_inv(t_min)`, so a cell outside the window can
+/// never be the population's worst.
+///
+/// This is what lets a die's worst cell be found without a quantile per
+/// cell. Every step from a uniform to a V_min — `tail_probability`,
+/// `mu + sigma * q_tail_inv(t)`, the `f32` narrowing and the floor nudge —
+/// is monotone non-increasing in `u`, except that the computed
+/// [`q_tail_inv`] is monotone only at the resolution of this window
+/// (`WORST_CELL_REL_WINDOW`, `WORST_CELL_ABS_WINDOW`). Evaluating the
+/// exact quantile of every cell inside the window therefore yields the
+/// population's maximum bit for bit: the same certify-or-fall-back
+/// pattern as `FAST_LN_EPS` in the gap walk.
+#[inline]
+#[must_use]
+pub fn worst_cell_window(t_min: f64) -> f64 {
+    t_min * (1.0 + WORST_CELL_REL_WINDOW) + WORST_CELL_ABS_WINDOW
 }
 
 /// CDF of the truncated tail distribution sampled by
@@ -639,8 +702,9 @@ mod tests {
     #[test]
     fn truncated_tail_draws_stay_above_floor() {
         let mut rng = StdRng::seed_from_u64(6);
+        let p_floor = q_tail((0.44 - 0.352) / 0.040);
         for _ in 0..5000 {
-            let x = truncated_tail_normal(0.352, 0.040, 0.44, &mut rng);
+            let x = truncated_tail_normal(0.352, 0.040, p_floor, &mut rng);
             assert!(x > 0.44, "draw {x} fell below the floor");
         }
     }
@@ -652,8 +716,9 @@ mod tests {
         let (mu, sigma, floor) = (0.352, 0.040, 0.40);
         let mut rng = StdRng::seed_from_u64(7);
         let n = 20_000;
+        let p_floor = q_tail((floor - mu) / sigma);
         let draws: Vec<f64> = (0..n)
-            .map(|_| truncated_tail_normal(mu, sigma, floor, &mut rng))
+            .map(|_| truncated_tail_normal(mu, sigma, p_floor, &mut rng))
             .collect();
         for x in [0.41, 0.43, 0.46, 0.50] {
             let expect = truncated_tail_cdf(mu, sigma, floor, x);

@@ -25,8 +25,11 @@
 
 use crate::fault::{VminFaultModel, V_DATA_RETENTION};
 use crate::geometry::MacroGeometry;
-use crate::math::{q_tail, sample_bernoulli_indices_into, truncated_tail_normal};
-use crate::sparse::{SparseCell, SparseOverlay};
+use crate::math::{
+    q_tail, q_tail_inv, sample_bernoulli_indices_buffered, sample_bernoulli_indices_into,
+    sample_unit_open, tail_probability, truncated_tail_normal, worst_cell_window,
+};
+use crate::sparse::{vmin_above_floor, SparseCell, SparseOverlay};
 use dante_circuit::units::Volt;
 use dante_sim::seed::{derive_seed, site};
 use rand::rngs::StdRng;
@@ -464,11 +467,102 @@ pub struct BurstDie {
     pub shift: Volt,
 }
 
-/// The smallest `f32` strictly greater than a positive finite `x` (local
-/// copy of the sparse sampler's ULP nudge).
-#[inline]
-fn next_up(x: f32) -> f32 {
-    f32::from_bits(x.to_bits() + 1)
+/// Reusable buffers for [`DieFaultModel::fault_summary`]. They keep their
+/// capacity across dies, so a steady-state fleet loop allocates nothing.
+#[derive(Debug, Default)]
+pub struct SummaryScratch {
+    /// Sorted faulty indices of the Gaussian background.
+    background: Vec<u64>,
+    /// Weak-row and weak-column index walks of a burst die.
+    walk: Vec<u64>,
+    /// Faulty cells of a burst die's weak rows.
+    row_cells: Vec<u64>,
+    /// Faulty cells of a burst die's weak columns.
+    column_cells: Vec<u64>,
+    /// Worst-cell candidates of the background population.
+    background_tail: WorstTail,
+    /// Worst-cell candidates of the weak (shifted) population.
+    weak_tail: WorstTail,
+}
+
+/// Streams one cell population's tail probabilities and keeps only the
+/// candidates for its worst cell: the running minimum and every
+/// probability within [`worst_cell_window`] of it. The worst V_min lies
+/// within the window of the final minimum, and every cell in that window
+/// was admitted when it arrived, because the window only shrinks as the
+/// minimum falls.
+#[derive(Debug)]
+struct WorstTail {
+    min: f64,
+    /// Admission bound: `worst_cell_window(min)`, infinite before any cell.
+    bound: f64,
+    candidates: Vec<f64>,
+}
+
+impl Default for WorstTail {
+    fn default() -> Self {
+        Self {
+            min: f64::INFINITY,
+            bound: f64::INFINITY,
+            candidates: Vec::new(),
+        }
+    }
+}
+
+impl WorstTail {
+    fn clear(&mut self) {
+        self.min = f64::INFINITY;
+        self.bound = f64::INFINITY;
+        self.candidates.clear();
+    }
+
+    #[inline]
+    fn push(&mut self, t: f64) {
+        if t > self.bound {
+            return;
+        }
+        if t < self.min {
+            self.min = t;
+            self.bound = worst_cell_window(t);
+            let bound = self.bound;
+            self.candidates.retain(|&c| c <= bound);
+        }
+        self.candidates.push(t);
+    }
+
+    /// The exact `f32` V_min of the population's worst cell — the very
+    /// computation [`truncated_tail_normal`] and the sparse sampler run per
+    /// cell — or `NEG_INFINITY` for an empty population.
+    fn worst_vmin(&self, mu: f64, sigma: f64, floor_f32: f32) -> f32 {
+        self.candidates
+            .iter()
+            .map(|&t| vmin_above_floor(mu + sigma * q_tail_inv(t), floor_f32))
+            .fold(f32::NEG_INFINITY, f32::max)
+    }
+}
+
+/// Walks a Gaussian background exactly as
+/// [`SparseOverlay::sample_cells_into`] does — the gap walk, then per cell
+/// one [`sample_unit_open`] and one `gen_bool(p_flip)` — but feeds each
+/// cell's tail probability to `tail` instead of inverting it. Leaves the
+/// sorted faulty indices in `indices` and `rng` where the sampler would.
+fn background_summary(
+    model: &VminFaultModel,
+    bits: usize,
+    v_floor: Volt,
+    rng: &mut StdRng,
+    indices: &mut Vec<u64>,
+    tail: &mut WorstTail,
+) {
+    assert!(bits > 0, "a die needs at least one cell");
+    let p_floor = model.bit_error_rate(v_floor);
+    let p_flip = model.read_flip_probability();
+    sample_bernoulli_indices_buffered(bits, p_floor, rng, indices);
+    tail.clear();
+    for _ in 0..indices.len() {
+        tail.push(tail_probability(sample_unit_open(rng), p_floor));
+        let _ = rng.gen_bool(p_flip);
+    }
 }
 
 impl DieFaultModel {
@@ -617,6 +711,59 @@ impl DieFaultModel {
         }
     }
 
+    /// The two numbers a fleet reads from a die: its distinct
+    /// faulty-at-floor cell count and its worst cell's V_min
+    /// (`NEG_INFINITY` when no cell is faulty). Bit-identical to
+    /// [`Self::sample_cells_into`] followed by `cells.len()` and a max-fold
+    /// over `vmin`, at a fraction of the cost.
+    ///
+    /// It draws the same random stream — the background gap walk, per cell
+    /// one uniform and one flip draw; for a burst die the weak-row walk,
+    /// the per-tile column walks and one `gen_bool` per weak candidate —
+    /// but turns only the worst-cell candidates ([`worst_cell_window`]) of
+    /// each population into a V_min, instead of one inverse-CDF per cell.
+    /// A burst die counts its weak cells against the sorted background
+    /// without building any [`SparseCell`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is zero or `v_floor` is below data retention.
+    #[must_use]
+    pub fn fault_summary(
+        &self,
+        bits: usize,
+        v_floor: Volt,
+        seed: u64,
+        scratch: &mut SummaryScratch,
+    ) -> (usize, f32) {
+        let floor_f32 = v_floor.volts() as f32;
+        let base = match self {
+            Self::Gaussian(m) | Self::CorrelatedBurst(BurstDie { base: m, .. }) => m,
+        };
+        let mut rng = StdRng::seed_from_u64(seed);
+        background_summary(
+            base,
+            bits,
+            v_floor,
+            &mut rng,
+            &mut scratch.background,
+            &mut scratch.background_tail,
+        );
+        let (mu, sigma) = (base.mu().volts(), base.sigma().volts());
+        let worst = scratch.background_tail.worst_vmin(mu, sigma, floor_f32);
+        match self {
+            Self::Gaussian(_) => (scratch.background.len(), worst),
+            Self::CorrelatedBurst(b) => {
+                let mut brng = StdRng::seed_from_u64(derive_seed(seed, site::FAULT_BURST, 0));
+                let extra = b.burst_summary(bits, v_floor, &mut brng, scratch);
+                let weak = scratch
+                    .weak_tail
+                    .worst_vmin(mu + b.shift.volts(), sigma, floor_f32);
+                (scratch.background.len() + extra, worst.max(weak))
+            }
+        }
+    }
+
     /// Owned-overlay convenience form of [`Self::sample_cells_into`].
     #[must_use]
     pub fn overlay_from_seed(&self, bits: usize, v_floor: Volt, seed: u64) -> SparseOverlay {
@@ -643,10 +790,70 @@ impl CellFaultRate for DieFaultModel {
 }
 
 impl BurstDie {
+    /// Probability that a weak cell is faulty at the floor — the shifted
+    /// Gaussian's tail, typically orders of magnitude above background. It
+    /// is also the tail mass every weak cell's V_min draw conditions on.
+    fn weak_tail_mass(&self, v_floor: Volt) -> f64 {
+        let (mu, sigma) = (self.base.mu().volts(), self.base.sigma().volts());
+        q_tail((v_floor.volts() - (mu + self.shift.volts())) / sigma)
+    }
+
+    /// Visits every cell of the die's weak rows in ascending index order:
+    /// each 64-bit word is weak independently, and all its cells draw from
+    /// the shifted distribution. `walk` is scratch for the row walk; `visit`
+    /// gets each cell index and the generator to draw its fate from.
+    fn walk_weak_rows(
+        &self,
+        bits: usize,
+        rng: &mut StdRng,
+        walk: &mut Vec<u64>,
+        mut visit: impl FnMut(u64, &mut StdRng),
+    ) {
+        let bpw = MacroGeometry::dante_4kb().bits_per_word() as u64; // a row is one word
+        sample_bernoulli_indices_into(bits.div_ceil(bpw as usize), self.row_weak, rng, walk);
+        for &row in walk.iter() {
+            for bit in 0..bpw {
+                let index = row * bpw + bit;
+                if index as usize >= bits {
+                    break;
+                }
+                visit(index, rng);
+            }
+        }
+    }
+
+    /// Visits every cell of the die's weak columns: the array is tiled into
+    /// 512x64 macros and, within each tile, each bit column is weak
+    /// independently and elevates its 512 cells. Indices ascend within a
+    /// column, not across columns. `walk` is scratch for the column walks.
+    fn walk_weak_columns(
+        &self,
+        bits: usize,
+        rng: &mut StdRng,
+        walk: &mut Vec<u64>,
+        mut visit: impl FnMut(u64, &mut StdRng),
+    ) {
+        let geom = MacroGeometry::dante_4kb();
+        let bpw = geom.bits_per_word() as u64;
+        let tile_bits = geom.capacity_bits(); // 512 words x 64 bits
+        for tile in 0..bits.div_ceil(tile_bits) {
+            sample_bernoulli_indices_into(bpw as usize, self.col_weak, rng, walk);
+            for &col in walk.iter() {
+                for word in 0..geom.words() as u64 {
+                    let index = (tile * tile_bits) as u64 + word * bpw + col;
+                    if index as usize >= bits {
+                        break;
+                    }
+                    visit(index, rng);
+                }
+            }
+        }
+    }
+
     /// Draws the weak-row/column cells faulty at `v_floor` and merges them
     /// into the background `cells` (keeping the higher V_min where a burst
     /// cell lands on a background cell). `indices` is reused as scratch for
-    /// the weak-row Bernoulli walk.
+    /// the weak-row and weak-column walks.
     fn sample_burst_cells(
         &self,
         bits: usize,
@@ -655,66 +862,25 @@ impl BurstDie {
         indices: &mut Vec<u64>,
         cells: &mut Vec<SparseCell>,
     ) {
-        let geom = MacroGeometry::dante_4kb();
-        let bpw = geom.bits_per_word() as u64; // 64: a row is one word
-        let tile_bits = geom.capacity_bits(); // 512 words x 64 bits
         let (mu, sigma) = (self.base.mu().volts(), self.base.sigma().volts());
         let mu_weak = mu + self.shift.volts();
-        let floor = v_floor.volts();
-        let floor_f32 = floor as f32;
-        // Probability that a weak cell is faulty at the floor — the shifted
-        // Gaussian's tail, typically orders of magnitude above background.
-        let p_weak_cell = q_tail((floor - mu_weak) / sigma);
+        let floor_f32 = v_floor.volts() as f32;
+        let p_weak_cell = self.weak_tail_mass(v_floor);
         let p_flip = self.base.read_flip_probability();
         let background = cells.len();
 
-        let draw_cell = |index: u64, rng: &mut StdRng, out: &mut Vec<SparseCell>| {
+        let mut draw_cell = |index: u64, rng: &mut StdRng| {
             if rng.gen_bool(p_weak_cell) {
-                let mut vmin = truncated_tail_normal(mu_weak, sigma, floor, rng) as f32;
-                if vmin <= floor_f32 {
-                    vmin = next_up(floor_f32);
-                }
-                out.push(SparseCell {
+                let x = truncated_tail_normal(mu_weak, sigma, p_weak_cell, rng);
+                cells.push(SparseCell {
                     index,
-                    vmin,
+                    vmin: vmin_above_floor(x, floor_f32),
                     flip: rng.gen_bool(p_flip),
                 });
             }
         };
-
-        // Weak rows: each 64-bit word is weak independently; all its cells
-        // draw from the shifted distribution.
-        let rows = bits.div_ceil(bpw as usize);
-        sample_bernoulli_indices_into(rows, self.row_weak, rng, indices);
-        let weak_rows = std::mem::take(indices);
-        for &row in &weak_rows {
-            for bit in 0..bpw {
-                let index = row * bpw + bit;
-                if index as usize >= bits {
-                    break;
-                }
-                draw_cell(index, rng, cells);
-            }
-        }
-        *indices = weak_rows;
-
-        // Weak columns: tile the array into 512x64 macros; within each
-        // tile, each bit column is weak independently and elevates its 512
-        // cells.
-        let tiles = bits.div_ceil(tile_bits);
-        let mut weak_cols = Vec::new();
-        for tile in 0..tiles {
-            sample_bernoulli_indices_into(bpw as usize, self.col_weak, rng, &mut weak_cols);
-            for &col in &weak_cols {
-                for word in 0..geom.words() as u64 {
-                    let index = (tile * tile_bits) as u64 + word * bpw + col;
-                    if index as usize >= bits {
-                        break;
-                    }
-                    draw_cell(index, rng, cells);
-                }
-            }
-        }
+        self.walk_weak_rows(bits, rng, indices, &mut draw_cell);
+        self.walk_weak_columns(bits, rng, indices, &mut draw_cell);
 
         // Merge bursts into the sorted background: sort, then collapse
         // duplicate indices keeping the cell with the higher V_min (the
@@ -735,6 +901,70 @@ impl BurstDie {
             cells.truncate(write);
         }
     }
+
+    /// The summary form of [`Self::sample_burst_cells`]: the same draws,
+    /// but each faulty weak cell only feeds its tail probability to
+    /// `scratch.weak_tail`. Returns how many faulty weak cells the merge
+    /// adds to the sorted background (`scratch.background`): the distinct
+    /// ones that are not background cells.
+    fn burst_summary(
+        &self,
+        bits: usize,
+        v_floor: Volt,
+        rng: &mut StdRng,
+        scratch: &mut SummaryScratch,
+    ) -> usize {
+        let SummaryScratch {
+            background,
+            walk,
+            row_cells,
+            column_cells,
+            weak_tail,
+            ..
+        } = scratch;
+        let p_weak_cell = self.weak_tail_mass(v_floor);
+        let p_flip = self.base.read_flip_probability();
+        weak_tail.clear();
+        let mut faulty = |rng: &mut StdRng| {
+            if !rng.gen_bool(p_weak_cell) {
+                return false;
+            }
+            weak_tail.push(tail_probability(sample_unit_open(rng), p_weak_cell));
+            let _ = rng.gen_bool(p_flip);
+            true
+        };
+        row_cells.clear();
+        column_cells.clear();
+        self.walk_weak_rows(bits, rng, walk, |index, rng| {
+            if faulty(rng) {
+                row_cells.push(index);
+            }
+        });
+        self.walk_weak_columns(bits, rng, walk, |index, rng| {
+            if faulty(rng) {
+                column_cells.push(index);
+            }
+        });
+        // Row cells arrive ascending and column cells are distinct, so
+        // after sorting the column cells only cross-list duplicates remain.
+        column_cells.sort_unstable();
+        remove_present(column_cells, row_cells);
+        remove_present(column_cells, background);
+        remove_present(row_cells, background);
+        row_cells.len() + column_cells.len()
+    }
+}
+
+/// Drops from the ascending `items` every value that the ascending
+/// `present` also holds (one merge pass).
+fn remove_present(items: &mut Vec<u64>, present: &[u64]) {
+    let mut p = 0;
+    items.retain(|&x| {
+        while p < present.len() && present[p] < x {
+            p += 1;
+        }
+        present.get(p) != Some(&x)
+    });
 }
 
 #[cfg(test)]
@@ -777,6 +1007,73 @@ mod tests {
                 assert_eq!(expected, streamed, "streamed flips diverged ({die:?})");
             }
         }
+    }
+
+    #[test]
+    fn fault_summary_matches_sampled_cells_bit_for_bit() {
+        // Bits straddle zero-fault arrays, sizes off the 64-bit word and off
+        // the 512x64 tile, and several tiles; the specs cover every die
+        // kind, extreme sigmas, and a dense burst whose weak rows, weak
+        // columns and background collide often.
+        let specs = [
+            FaultModel::default(),
+            FaultModel::burst_default(),
+            FaultModel::chip_variation_default(),
+            FaultModel::Gaussian {
+                mu_mv: 352,
+                sigma_mv: 1,
+                flip_ppm: 500_000,
+            },
+            FaultModel::Gaussian {
+                mu_mv: 352,
+                sigma_mv: 200,
+                flip_ppm: 1,
+            },
+            FaultModel::CorrelatedBurst {
+                mu_mv: 352,
+                sigma_mv: 40,
+                flip_ppm: 1_000_000,
+                row_weak_ppm: 100_000,
+                col_weak_ppm: 100_000,
+                shift_mv: 300,
+            },
+        ];
+        let sizes = [1usize, 63, 1_000, 32_768 + 77, 3 * 32_768 - 5, 200_003];
+        let (mut indices, mut cells) = (Vec::new(), Vec::new());
+        let mut scratch = SummaryScratch::default();
+        let (mut empty, mut faulty) = (0, 0);
+        for spec in specs {
+            for mv in (360u32..=640).step_by(20) {
+                let floor = Volt::from_millivolts(f64::from(mv));
+                for seed in 0..24u64 {
+                    let die_seed = derive_seed(seed, site::FLEET_DIE, u64::from(mv));
+                    let bits = sizes[seed as usize % sizes.len()];
+                    let die = spec.resolve_die(die_seed);
+                    die.sample_cells_into(bits, floor, die_seed, &mut indices, &mut cells);
+                    let worst = cells
+                        .iter()
+                        .map(|c| c.vmin)
+                        .fold(f32::NEG_INFINITY, f32::max);
+                    let (count, summary_worst) =
+                        die.fault_summary(bits, floor, die_seed, &mut scratch);
+                    assert_eq!(count, cells.len(), "{spec:?} at {mv} mV, seed {seed}");
+                    assert_eq!(
+                        summary_worst.to_bits(),
+                        worst.to_bits(),
+                        "{spec:?} at {mv} mV, seed {seed}"
+                    );
+                    if cells.is_empty() {
+                        empty += 1;
+                    } else {
+                        faulty += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            empty > 200 && faulty > 1000,
+            "{empty} empty, {faulty} faulty dies"
+        );
     }
 
     #[test]

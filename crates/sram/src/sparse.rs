@@ -49,6 +49,20 @@ fn next_up(x: f32) -> f32 {
     f32::from_bits(x.to_bits() + 1)
 }
 
+/// Narrows a tail draw `x` (strictly above the floor) to a cell's stored
+/// `f32` V_min. The `f32` round can land exactly on the floor, which would
+/// silently drop the cell from its own floor voltage — nudge it up one ULP
+/// instead. Monotone non-decreasing in `x`.
+#[inline]
+pub(crate) fn vmin_above_floor(x: f64, floor_f32: f32) -> f32 {
+    let vmin = x as f32;
+    if vmin <= floor_f32 {
+        next_up(floor_f32)
+    } else {
+        vmin
+    }
+}
+
 /// A sparse fault overlay: only the cells faulty at the floor voltage, as
 /// sorted `(index, vmin, flip)` triples.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,23 +129,17 @@ impl SparseOverlay {
     ) {
         assert!(bits > 0, "a die needs at least one cell");
         // bit_error_rate both computes F(v_floor) and enforces the
-        // data-retention lower bound with its own clear panic.
+        // data-retention lower bound with its own clear panic. It is the
+        // tail mass every cell's V_min draw conditions on.
         let p_floor = model.bit_error_rate(v_floor);
         let (mu, sigma) = (model.mu().volts(), model.sigma().volts());
-        let floor = v_floor.volts();
-        let floor_f32 = floor as f32;
+        let floor_f32 = v_floor.volts() as f32;
         let p_flip = model.read_flip_probability();
         sample_bernoulli_indices_into(bits, p_floor, rng, indices);
         cells.clear();
         cells.reserve(indices.len());
         for &index in indices.iter() {
-            // The f64 draw is strictly above the floor; the f32 round can
-            // land exactly on it, which would silently drop the cell from
-            // its own floor voltage — nudge up one ULP instead.
-            let mut vmin = truncated_tail_normal(mu, sigma, floor, rng) as f32;
-            if vmin <= floor_f32 {
-                vmin = next_up(floor_f32);
-            }
+            let vmin = vmin_above_floor(truncated_tail_normal(mu, sigma, p_floor, rng), floor_f32);
             cells.push(SparseCell {
                 index,
                 vmin,

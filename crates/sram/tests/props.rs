@@ -6,7 +6,7 @@ use dante_sram::ber_fit::fit_vmin_model;
 use dante_sram::ecc;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
-use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv};
+use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv, worst_cell_window};
 use dante_sram::sparse::SparseOverlay;
 use dante_sram::storage::{CorruptionOverlay, FaultOverlay, FaultyMacro};
 use proptest::prelude::*;
@@ -76,6 +76,24 @@ proptest! {
         // And the CDF/quantile pair agrees.
         let z2 = norm_ppf(p);
         prop_assert!((phi_cdf(z2) - p).abs() < 1e-5);
+    }
+
+    /// `q_tail_inv` never rises from a tail probability to any probability
+    /// at or past its worst-cell window, across the sampler's whole range
+    /// (log-uniform down to the `MIN_POSITIVE` clamp).
+    #[test]
+    fn q_tail_inv_never_rises_past_the_worst_cell_window(
+        log2_t in -1021.9f64..-0.01,
+        stretch in 0.0f64..64.0,
+    ) {
+        let t = 2f64.powf(log2_t);
+        let edge = worst_cell_window(t);
+        let z = q_tail_inv(t);
+        prop_assert!(q_tail_inv(edge) <= z, "rise at the window edge of t = {t:e}");
+        let far = edge + (edge - t) * stretch;
+        if far < 1.0 {
+            prop_assert!(q_tail_inv(far) <= z, "rise at {far:e} from t = {t:e}");
+        }
     }
 
     /// Memory address decode is a bijection onto (bank, word).
@@ -267,6 +285,53 @@ proptest! {
         let empirical = field.empirical_ber(v);
         let sigma = (analytic * (1.0 - analytic) / 50_000.0).sqrt();
         prop_assert!((empirical - analytic).abs() < 6.0 * sigma + 1e-4);
+    }
+}
+
+/// `q_tail_inv` is monotone non-increasing on a dense grid at the
+/// resolution of the worst-cell window — the property that lets a fleet die
+/// find its worst cell without a quantile per cell. Plain ulp-level
+/// monotonicity does not hold: between `1e-18` and `1e-12` the Halley
+/// step's CDF is quantized to `2^-53`, so the grid includes quarter-quantum
+/// steps there, and every pair of grid points at least one window apart is
+/// checked, not just neighbours.
+#[test]
+fn q_tail_inv_is_monotone_at_the_worst_cell_window_resolution() {
+    // Acklam's lower region boundary; the upper one is `1 - P_LOW`.
+    const P_LOW: f64 = 0.024_25;
+    let mut grid = Vec::new();
+    // Geometric steps of 2^-10 from the sampler's MIN_POSITIVE clamp
+    // through 0.5 and both Acklam boundaries.
+    let mut t = f64::MIN_POSITIVE;
+    while t < 0.999 {
+        grid.push(t);
+        t *= 1.0 + 1.0 / 1024.0;
+    }
+    // Quarter-quantum steps through the quantized band, up to 2^-38.
+    grid.extend((1..1u32 << 17).map(|k| f64::from(k) * 2f64.powi(-55)));
+    // Each Acklam boundary, straddled four windows either side in steps
+    // of 1/1024 of the relative window.
+    for boundary in [P_LOW, 1.0 - P_LOW] {
+        grid.extend((-4096i32..=4096).map(|k| boundary * (1.0 + f64::from(k) * 2f64.powi(-40))));
+    }
+    grid.sort_by(f64::total_cmp);
+    grid.dedup();
+    let z: Vec<f64> = grid.iter().map(|&t| q_tail_inv(t)).collect();
+    // Scan downwards, keeping the largest quantile among the points at or
+    // past the current point's window edge (a set that only grows).
+    let mut past = grid.len();
+    let mut max_past = f64::NEG_INFINITY;
+    for i in (0..grid.len()).rev() {
+        let edge = worst_cell_window(grid[i]);
+        while past > 0 && grid[past - 1] >= edge {
+            past -= 1;
+            max_past = max_past.max(z[past]);
+        }
+        assert!(
+            max_past <= z[i] && q_tail_inv(edge) <= z[i],
+            "q_tail_inv rises past the worst-cell window of t = {:e}",
+            grid[i]
+        );
     }
 }
 
