@@ -8,20 +8,16 @@
 //!   paper-fidelity Monte-Carlo).
 //! * [`figures`] — one function per paper artifact (`fig01`..`fig15`,
 //!   `table1`..`table3`, `headlines`).
-//! * [`perf`] — the tracked Monte-Carlo performance harness behind
-//!   `BENCH_mc.json` (`cargo run -p dante-bench --release --bin bench_mc`):
-//!   dense-vs-sparse overlay generation, per-trial corruption, and the
-//!   end-to-end accuracy sweep.
 //!
 //! Each artifact also has a binary (`cargo run -p dante-bench --release
-//! --bin fig13`) and a criterion bench (`cargo bench -p dante-bench`).
+//! --bin fig13`). End-to-end performance is measured by the standalone
+//! `perfbench` package (see `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 pub mod figures;
 pub mod json;
-pub mod perf;
 pub mod record;
 
 pub use record::{FigureRecord, RunScale, Series};

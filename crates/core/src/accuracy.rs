@@ -927,51 +927,6 @@ impl AccuracyEvaluator {
             .collect()
     }
 
-    /// Finds `V_target-acc` (paper Fig. 1): the lowest voltage on a 10 mV
-    /// grid at which the mean accuracy under a uniform assignment reaches
-    /// `target_fraction` of the clean accuracy. Returns `None` if even the
-    /// top of the searched range (0.60 V) misses the target.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `target_fraction` is in `(0, 1]`.
-    #[must_use]
-    pub fn find_target_voltage(
-        &self,
-        net: &Network,
-        images: &[f32],
-        labels: &[u8],
-        target_fraction: f64,
-        seed: u64,
-    ) -> Option<Volt> {
-        assert!(
-            target_fraction > 0.0 && target_fraction <= 1.0,
-            "target fraction must be in (0, 1]"
-        );
-        let clean = net.accuracy(images, labels);
-        let target = clean * target_fraction;
-        let layers = net.weight_layer_indices().len();
-        // The accuracy curve is monotone in voltage (inclusive fault maps),
-        // so walk the grid bottom-up and return the first passing point.
-        let mut passing = None;
-        for mv in (300..=600).rev().step_by(10) {
-            let v = Volt::from_millivolts(f64::from(mv));
-            let stats = self.evaluate(
-                net,
-                &VoltageAssignment::uniform(v, layers),
-                images,
-                labels,
-                seed,
-            );
-            if stats.mean() >= target {
-                passing = Some(v);
-            } else {
-                break;
-            }
-        }
-        passing
-    }
-
     /// Runs the full Monte-Carlo evaluation: `trials` fresh dies, each
     /// corrupting weights and inputs at the assignment's voltages, averaged
     /// over the labelled test set.
@@ -1206,32 +1161,6 @@ mod tests {
             i.mean(),
             w.mean()
         );
-    }
-
-    #[test]
-    fn target_voltage_sits_on_the_cliff() {
-        let (net, images, labels) = toy_net_and_data();
-        let eval = AccuracyEvaluator::new(3);
-        let v = eval
-            .find_target_voltage(&net, &images, &labels, 0.98, 21)
-            .expect("0.60 V must meet any 98% target");
-        // The cliff for this quantization sits between 0.40 and 0.52 V.
-        assert!(
-            (0.38..=0.54).contains(&v.volts()),
-            "V_target-acc {v} outside the plausible cliff region"
-        );
-        // Everything above it passes, the grid point 20 mV below fails.
-        let layers = net.weight_layer_indices().len();
-        let above = eval
-            .evaluate(
-                &net,
-                &VoltageAssignment::uniform(v, layers),
-                &images,
-                &labels,
-                21,
-            )
-            .mean();
-        assert!(above >= 0.98 * net.accuracy(&images, &labels));
     }
 
     #[test]

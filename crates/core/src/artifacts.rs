@@ -12,18 +12,23 @@ use dante_nn::network::Network;
 use dante_nn::train::{train, SgdConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
+use std::ffi::OsString;
+use std::path::{Path, PathBuf};
 
 /// Where cached artifacts live (`DANTE_CACHE` env var, else
 /// `target/dante-cache`).
 #[must_use]
 pub fn cache_dir() -> PathBuf {
-    std::env::var_os("DANTE_CACHE")
-        .map_or_else(|| PathBuf::from("target/dante-cache"), PathBuf::from)
+    cache_dir_from(std::env::var_os("DANTE_CACHE"))
 }
 
-fn load_or_train(key: &str, train_fn: impl FnOnce() -> Network) -> Network {
-    let dir = cache_dir();
+/// The cache directory for a given `DANTE_CACHE` value: the override when
+/// set, else `target/dante-cache`.
+fn cache_dir_from(env_override: Option<OsString>) -> PathBuf {
+    env_override.map_or_else(|| PathBuf::from("target/dante-cache"), PathBuf::from)
+}
+
+fn load_or_train(dir: &Path, key: &str, train_fn: impl FnOnce() -> Network) -> Network {
     let path = dir.join(format!("{key}.dnet"));
     if let Ok(bytes) = std::fs::read(&path) {
         if let Ok(net) = Network::from_bytes(&bytes) {
@@ -31,7 +36,7 @@ fn load_or_train(key: &str, train_fn: impl FnOnce() -> Network) -> Network {
         }
     }
     let net = train_fn();
-    if std::fs::create_dir_all(&dir).is_ok() {
+    if std::fs::create_dir_all(dir).is_ok() {
         // Cache failures are non-fatal; the next run just retrains.
         let _ = std::fs::write(&path, net.to_bytes());
     }
@@ -46,18 +51,20 @@ fn load_or_train(key: &str, train_fn: impl FnOnce() -> Network) -> Network {
 #[must_use]
 pub fn trained_mnist_fc(train_n: usize, test_n: usize, epochs: usize) -> (Network, Dataset) {
     let key = format!("mnist-fc-{train_n}-{epochs}");
-    let net = load_or_train(&key, || {
-        let ds = generate_mnist_like(train_n, 1);
-        let mut rng = StdRng::seed_from_u64(0xF0);
-        let mut net = mnist_fc_dnn(&mut rng);
-        let cfg = SgdConfig {
-            epochs,
-            ..SgdConfig::default()
-        };
-        train(&mut net, ds.images(), ds.labels(), &cfg, &mut rng);
-        net
-    });
+    let net = load_or_train(&cache_dir(), &key, || train_mnist_fc(train_n, epochs));
     (net, generate_mnist_like(test_n, 2))
+}
+
+fn train_mnist_fc(train_n: usize, epochs: usize) -> Network {
+    let ds = generate_mnist_like(train_n, 1);
+    let mut rng = StdRng::seed_from_u64(0xF0);
+    let mut net = mnist_fc_dnn(&mut rng);
+    let cfg = SgdConfig {
+        epochs,
+        ..SgdConfig::default()
+    };
+    train(&mut net, ds.images(), ds.labels(), &cfg, &mut rng);
+    net
 }
 
 /// The trained CIFAR-like CNN proxy plus its held-out test set.
@@ -66,7 +73,7 @@ pub fn trained_mnist_fc(train_n: usize, test_n: usize, epochs: usize) -> (Networ
 #[must_use]
 pub fn trained_cifar_cnn(train_n: usize, test_n: usize, epochs: usize) -> (Network, Dataset) {
     let key = format!("cifar-cnn-{train_n}-{epochs}");
-    let net = load_or_train(&key, || {
+    let net = load_or_train(&cache_dir(), &key, || {
         let ds = generate_cifar_like(train_n, 3);
         let mut rng = StdRng::seed_from_u64(0xC1);
         let mut net = cifar_cnn(&mut rng);
@@ -88,24 +95,22 @@ mod tests {
 
     #[test]
     fn cache_round_trips_a_tiny_model() {
-        // Use a unique cache dir to avoid interference.
+        // A private directory, so no other test's cache is touched.
         let dir = std::env::temp_dir().join(format!("dante-cache-test-{}", std::process::id()));
-        std::env::set_var("DANTE_CACHE", &dir);
-        let (net1, test1) = trained_mnist_fc(50, 20, 1);
-        let (net2, test2) = trained_mnist_fc(50, 20, 1);
-        // Second call must come from the cache and be identical.
+        let net1 = load_or_train(&dir, "mnist-fc-50-1", || train_mnist_fc(50, 1));
+        // The second call must come from the cache, not the trainer.
+        let net2 = load_or_train(&dir, "mnist-fc-50-1", || panic!("cache miss"));
         assert_eq!(net1, net2);
-        assert_eq!(test1, test2);
         assert!(dir.join("mnist-fc-50-1.dnet").exists());
-        std::env::remove_var("DANTE_CACHE");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn cache_dir_honours_env_override() {
-        std::env::set_var("DANTE_CACHE", "/tmp/some-dante-cache");
-        assert_eq!(cache_dir(), PathBuf::from("/tmp/some-dante-cache"));
-        std::env::remove_var("DANTE_CACHE");
-        assert_eq!(cache_dir(), PathBuf::from("target/dante-cache"));
+        assert_eq!(
+            cache_dir_from(Some("/tmp/some-dante-cache".into())),
+            PathBuf::from("/tmp/some-dante-cache")
+        );
+        assert_eq!(cache_dir_from(None), PathBuf::from("target/dante-cache"));
     }
 }

@@ -216,7 +216,13 @@ pub fn apply_units(clean: &Network, corrupted: &Network, units: &[WeightRow]) ->
 /// through every layer, dense layers on the naive `Matrix::matmul` loop.
 /// Images go in chunks of 256, as `Network::accuracy` batches them, which
 /// bounds the activation memory without changing any image's result.
-fn scalar_count(net: &Network, inputs: &[f32], labels: &[u8]) -> usize {
+///
+/// # Panics
+///
+/// Panics if `inputs` does not hold `labels.len()` images of the network's
+/// input length.
+#[must_use]
+pub fn scalar_count(net: &Network, inputs: &[f32], labels: &[u8]) -> usize {
     let in_len = net.in_len();
     assert_eq!(
         inputs.len(),
