@@ -11,8 +11,10 @@
 //!
 //! The module also hosts the sparse tail samplers used by
 //! [`crate::sparse::SparseOverlay`]: geometric-gap Bernoulli index sampling
-//! (an exact draw of the faulty-cell set in O(faulty cells) expected time)
-//! and truncated-tail Gaussian draws via the inverse CDF, plus the window
+//! (an exact draw of the faulty-cell set in O(faulty cells) expected time;
+//! `walk_bernoulli` is the same walk with each gap looked up in a certified
+//! threshold table or computed by a certified interpolated logarithm) and
+//! truncated-tail Gaussian draws via the inverse CDF, plus the window
 //! ([`worst_cell_window`]) within which a population's worst cell must lie.
 
 use rand::Rng;
@@ -178,30 +180,56 @@ pub fn sample_bernoulli_indices_into<R: Rng + ?Sized>(
     }
 }
 
-/// Latency-hiding variant of [`sample_bernoulli_indices_into`]: identical
-/// indices, identical RNG stream, identical post-call generator state — but
-/// several times faster on dense tails, because the scalar walk is a serial
-/// `draw → ln → divide → compare` dependency chain (~25 ns/success) while
-/// this form pre-draws uniforms in chunks and computes their logarithms as
-/// independent operations the CPU can overlap.
+/// Scale of a raw draw's 53-bit mantissa: `m as f64 * UNIT` is, exactly,
+/// the uniform `rng.gen::<f64>()` returns for that draw.
+const UNIT: f64 = 1.0 / (1u64 << 53) as f64;
+
+/// The 53-bit mantissa `m` of a [`sample_unit_open`] draw: the same raw
+/// words and the same redraw on zero, so `m as f64 * 2^-53` is that
+/// uniform exactly and the generator ends where [`sample_unit_open`]
+/// leaves it.
+#[inline(always)]
+pub(crate) fn draw_unit_mantissa<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    loop {
+        let m = rng.next_u64() >> 11;
+        if m != 0 {
+            return m;
+        }
+    }
+}
+
+/// `gen_bool(p)` as an integer test on the raw draw `x`: the uniform
+/// `(x >> 11) as f64 * 2^-53` and `p * 2^53` are both exact, so
+/// `gen_bool(p)` holds exactly when `x >> 11 < ceil(p * 2^53)`, the value
+/// returned here. `gen_bool` redraws nothing, so neither does this test.
 ///
-/// Chunked drawing over-consumes the generator when the walk terminates
-/// mid-chunk, so the generator state is snapshotted before each chunk and,
-/// on termination after `j` in-chunk draws, rewound and replayed with
-/// exactly `j` [`sample_unit_open`] calls — the post-call state is the one
-/// the scalar walk would leave. This is why the bound is `R: Rng + Clone`
-/// rather than `?Sized`.
+/// # Panics
+///
+/// Panics unless `0 <= p <= 1`, as `gen_bool` does.
+#[must_use]
+pub(crate) fn flip_threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability {p} outside [0, 1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Visits the success indices of `n` i.i.d. Bernoulli(`p`) trials in
+/// increasing order: exactly the indices [`sample_bernoulli_indices_into`]
+/// returns, from the same draws, leaving the generator where it leaves it.
+/// Only the arithmetic differs: [`GapSampler`] turns each raw draw into its
+/// gap as an integer, without a libm logarithm, and defers to the scalar
+/// walk's own `⌊ln u / ln(1 − p)⌋` wherever it cannot certify the result.
+/// Exact for `n < 2^53`, where the scalar walk's `(n - idx) as f64` is.
 ///
 /// # Panics
 ///
 /// Panics unless `p` is a finite probability in `[0, 1]`.
-pub fn sample_bernoulli_indices_buffered<R: Rng + Clone>(
+#[inline(always)]
+pub(crate) fn walk_bernoulli<R: Rng + ?Sized>(
     n: usize,
     p: f64,
     rng: &mut R,
-    out: &mut Vec<u64>,
+    mut visit: impl FnMut(u64),
 ) {
-    out.clear();
     assert!(
         (0.0..=1.0).contains(&p),
         "success probability must be in [0, 1], got {p}"
@@ -209,165 +237,317 @@ pub fn sample_bernoulli_indices_buffered<R: Rng + Clone>(
     if n == 0 || p <= 0.0 {
         return;
     }
+    let n = n as u64;
     if p >= 1.0 {
-        out.extend(0..n as u64);
+        (0..n).for_each(visit);
         return;
     }
-    const CHUNK: usize = 1024;
-    let ln_q = (-p).ln_1p(); // ln(1 - p), strictly negative
-    let n = n as u64;
+    let gaps = GapSampler::new(p, n as f64 * p);
     let mut idx = 0u64;
-    let mut uniforms = [0.0f64; CHUNK];
-    let mut gaps = [0.0f64; CHUNK];
     loop {
-        // Size the chunk to the expected remaining draws plus slack, so
-        // shallow tails don't burn a full chunk of logarithms for a walk
-        // that terminates after one or two gaps.
-        let expect = (n - idx) as f64 * p;
-        let k = ((expect + 6.0 * expect.sqrt() + 8.0) as usize).clamp(8, CHUNK);
-        let snapshot = rng.clone();
-        for slot in uniforms.iter_mut().take(k) {
-            *slot = sample_unit_open(rng);
+        // A gap past u64 saturates; the scalar walk's f64 gap stops the
+        // walk there too, since the remaining range is far smaller.
+        let gap = gaps.gap(draw_unit_mantissa(rng));
+        if gap >= n - idx {
+            return;
         }
-        // Independent logarithms: this loop is the throughput win.
-        floored_gaps(&uniforms[..k], ln_q, &mut gaps[..k]);
-        for (j, &gap) in gaps.iter().enumerate().take(k) {
-            let done = if gap >= (n - idx) as f64 {
-                true
-            } else {
-                idx += gap as u64;
-                out.push(idx);
-                idx += 1;
-                idx >= n
-            };
-            if done {
-                // Rewind the over-drawn generator and replay exactly the
-                // draws the scalar walk would have consumed.
-                *rng = snapshot;
-                for _ in 0..=j {
-                    let _ = sample_unit_open(rng);
-                }
-                return;
-            }
+        idx += gap;
+        visit(idx);
+        idx += 1;
+        if idx >= n {
+            return;
         }
     }
 }
 
-/// Certified absolute error bound of [`fast_ln`] **plus** the platform
-/// `f64::ln`'s own sub-ulp error, with two orders of magnitude of margin:
-/// the polynomial's truncation tail is `< 5e-13` (see [`fast_ln`]), every
-/// rounding term is `< 1e-14`, and libm `ln` is within 1 ulp (`< 1e-14` for
-/// results bounded by `|ln(2^-53)| ≈ 36.7`).
-const FAST_LN_EPS: f64 = 2e-12;
+/// `2^52`: for an integer `0 <= k < 2^52`, the bits `MAGIC_2_52 + k` are
+/// the f64 `2^52 + k`, so `k` converts to f64 without an int-to-float
+/// instruction (whose false dependency on its destination register would
+/// chain one draw's arithmetic onto the next).
+const TWO_52: f64 = (1u64 << 52) as f64;
+const MAGIC_2_52: u64 = 0x4330_0000_0000_0000;
 
-/// Polynomial natural logarithm with a *certified* absolute error bound
-/// ([`FAST_LN_EPS`]) for `u` in `(0, 1)`, normal (the unit-open sampler
-/// never produces subnormals).
-///
-/// `u = 2^e * m` with `m` reduced to `[√½, √2)`, then
-/// `ln(m) = 2·atanh(t)`, `t = (m-1)/(m+1)`, `|t| ≤ √2-1/√2+1 ≈ 0.1716`,
-/// via the odd series through `t^13`. The truncation tail is
-/// `Σ_{k≥7} t^(2k+1)/(2k+1) ≤ t^15/(15(1-t²)) < 2.3e-13` (doubled by the
-/// `2·` factor), and `m-1` is exact (Sterbenz), so rounding contributes
-/// only a few `1e-15` terms.
+/// The bits of `1.0`.
+const ONE_BITS: u64 = 0x3FF0_0000_0000_0000;
+
+/// [`fast_ln`] interpolates `ln` on `[1, 2)` over `2^LN_SEGMENT_BITS`
+/// equal segments (a 16 KiB table).
+const LN_SEGMENT_BITS: u32 = 10;
+
+/// Certified absolute error bound of [`fast_ln`] **plus** the platform
+/// `f64::ln`'s own error, with twofold margin. On a segment `[a, a + h]` of
+/// `[1, 2)`, `h = 2^-10`, the secant of the concave `ln` lies below it by at
+/// most `h²/(8a²) <= 2^-23 ≈ 1.19e-7`. The table's logarithms are within
+/// 1 ulp (`< 1e-16`), so each secant slope is within `7e-13` and adds under
+/// `1e-15` across a segment; `m - a` is exact (Sterbenz); the binade term
+/// and the final sums round within `1.3e-14` for `|ln u| <= 36.8`; libm
+/// `ln` is within 1 ulp (`< 1e-14`).
+const FAST_LN_EPS: f64 = 2.4e-7;
+
+/// The interpolation tables of [`fast_ln`]: per segment of `[1, 2)` its
+/// start's logarithm and the secant slope, and per leading-zero count of a
+/// mantissa its binade's `e·ln 2`.
+#[derive(Debug)]
+struct LnTables {
+    segments: Vec<(f64, f64)>,
+    binades: [f64; 64],
+}
+
+/// The process-wide [`LnTables`], built on first use.
+fn ln_tables() -> &'static LnTables {
+    static TABLES: std::sync::OnceLock<LnTables> = std::sync::OnceLock::new();
+    TABLES.get_or_init(|| {
+        let per = 1usize << LN_SEGMENT_BITS;
+        let start = |j: usize| 1.0 + j as f64 / per as f64;
+        LnTables {
+            segments: (0..per)
+                .map(|j| {
+                    let ln_a = start(j).ln();
+                    (ln_a, (start(j + 1).ln() - ln_a) * per as f64)
+                })
+                .collect(),
+            // A mantissa with `lz` leading zeros is `2^(10 - lz)·[1, 2)`.
+            binades: std::array::from_fn(|lz| (10.0 - lz as f64) * std::f64::consts::LN_2),
+        }
+    })
+}
+
+/// `ln(m·2^-53)` for a mantissa `1 <= m < 2^53`, within [`FAST_LN_EPS`]:
+/// the binade from the leading zeros, then a secant of `ln` on the segment
+/// of `[1, 2)` that the next ten bits pick. A table load and two
+/// multiply-adds: the latency is short enough for consecutive draws of the
+/// walk to overlap.
 ///
 /// The exact bits of the result are **not** part of any contract — only the
 /// error bound is. Callers certify against the bound and fall back to the
-/// exact `f64::ln` when certification fails, so their output is bit-stable
-/// across compilers and SIMD widths even though this value may not be.
+/// exact `f64::ln` when certification fails.
 #[inline(always)]
-fn fast_ln(u: f64) -> f64 {
-    let bits = u.to_bits();
-    let e = (((bits >> 52) & 0x7FF) as i32) - 1023;
-    let m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
-    let big = m > std::f64::consts::SQRT_2;
-    let m = if big { m * 0.5 } else { m };
-    let e = e + i32::from(big);
-    let t = (m - 1.0) / (m + 1.0);
-    let t2 = t * t;
-    let poly = 1.0 / 3.0
-        + t2 * (1.0 / 5.0
-            + t2 * (1.0 / 7.0 + t2 * (1.0 / 9.0 + t2 * (1.0 / 11.0 + t2 * (1.0 / 13.0)))));
-    f64::from(e) * std::f64::consts::LN_2 + (2.0 * t + 2.0 * (t * t2) * poly)
+fn fast_ln(tables: &LnTables, m: u64) -> f64 {
+    let lz = m.leading_zeros();
+    // The bits below the leading one, left-aligned.
+    let fraction = (m << lz) << 1;
+    let j = (fraction >> (64 - LN_SEGMENT_BITS)) as usize;
+    let mantissa = f64::from_bits(ONE_BITS | fraction >> 12);
+    let start = f64::from_bits(ONE_BITS | (j as u64) << (52 - LN_SEGMENT_BITS));
+    let (ln_start, slope) = tables.segments[j];
+    tables.binades[lz as usize] + (ln_start + (mantissa - start) * slope)
 }
 
-/// Fills `gaps[j] = (uniforms[j].ln() / ln_q).floor()` — bit-equivalent to
-/// calling libm `ln` per element, several times faster on dense tails.
+/// Relative half-width (`2^-36`) of the band around each gap-table
+/// threshold `q^k` (`q^k = exp(k·ln_q)`, `ln_q` the computed `ln(1 − p)`)
+/// inside which [`GapSampler`] leaves the gap to the exact logarithm.
 ///
-/// Each element computes [`fast_ln`] and *certifies* the floored quotient
-/// without any division in the hot loop: with `L = fast_ln(u)` and
-/// `r = L * (1/ln_q)`, every value the exact path can produce —
-/// `a / ln_q` rounded once, for any `a` within `ε` of `L` — lies within
-/// `δ = 2ε/|ln_q| + 2e-15·|r|` of `r` (the first term is the `ε`-interval
-/// mapped through the division, doubled for slack; the second covers the
-/// reciprocal representation, the multiply rounding, and the exact path's
-/// own division rounding, each `≤ 1.2e-16·|r|`, with >10x margin). So when
-/// the fractional part of `r` keeps `[r-δ, r+δ]` strictly inside one unit
-/// interval, `floor(r)` provably equals the libm-based result. Uncertified
-/// elements (quotient within `δ` of an integer, probability `~δ` per unit
-/// of gap) are recomputed exactly in a scalar fixup pass, so the output
-/// never depends on which path ran. `r - floor(r)` and `1 - s` are exact
-/// for `|r| < 2^52` (Sterbenz), and larger `r` fails certification (`s`
-/// becomes 0), falling back safely.
+/// Derivation: the exact gap is `⌊ρ̂⌋`, `ρ̂` the rounded `ln(u) / ln_q`.
+/// libm `ln` is within 1 ulp and the division rounds once, so `ρ̂` is within
+/// `4e-16·ρ` of the real quotient `ρ`, and `ρ <= 36.8 / |ln_q|` for every
+/// draw (`u >= 2^-53`). A draw with `u <= q^k·(1 − 2^-37)` has
+/// `ρ >= k + 2^-37/|ln_q|`, five hundred times more than
+/// `4e-16·ρ <= 1.5e-14/|ln_q|` above `k`, so `⌊ρ̂⌋ >= k`; above
+/// `q^k·(1 + 2^-37)`, likewise `⌊ρ̂⌋ < k`. The band's other `2^-37` covers
+/// the rounding of its own edges (a few `2^-53`).
+const GAP_BAND: f64 = 1.0 / (1u64 << 36) as f64;
+
+/// Growth of the band per threshold (`2^-49`): the table builds `q^k` by
+/// `k` multiplications by `exp(ln_q)`, and each adds at most
+/// `2^-52 + 2^-53 < 2^-51` of relative error (1 ulp of libm `exp`, one
+/// rounding), so the `k`-th threshold is off by less than `k·2^-51`; the
+/// band widens by four times that.
+const GAP_BAND_PER_STEP: f64 = 1.0 / (1u64 << 49) as f64;
+
+/// Most binades of `u` a gap table covers: draws below `2^-16` (one in
+/// 65 536) take the certified-logarithm path.
+const GAP_TABLE_BINADES: usize = 16;
+
+/// Fewest binades that make a table worth building.
+const GAP_TABLE_MIN_BINADES: usize = 6;
+
+/// Most buckets in a gap table (96 KiB). Tails sparser than `p ≈ 3e-3`
+/// need more buckets per binade than this allows.
+const GAP_TABLE_MAX_BUCKETS: usize = 4096;
+
+/// One bucket of the gap table: every draw in it has gap `gap`, plus one
+/// when its mantissa is below `lo`, except the draws in `lo ..= lo + span`,
+/// which lie in a threshold's band and take the exact path. A bucket clear
+/// of every band has `lo = span = 0`; one that two bands reach has
+/// `span = u64::MAX`, so all its draws take the exact path.
+#[derive(Debug, Clone, Copy, Default)]
+struct GapBucket {
+    lo: u64,
+    span: u64,
+    gap: u64,
+}
+
+/// Maps the 53-bit mantissa `m` of a unit-open draw to the geometric gap
+/// `⌊ln(m·2^-53) / ln(1 − p)⌋`, bit for bit as
+/// [`sample_bernoulli_indices_into`] computes it, without a libm logarithm:
 ///
-/// # Panics
-///
-/// Panics if the buffer lengths differ.
-fn floored_gaps(uniforms: &[f64], ln_q: f64, gaps: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if std::arch::is_x86_feature_detected!("avx512f") {
-            // SAFETY: feature presence just checked.
-            return unsafe { floored_gaps_avx512(uniforms, ln_q, gaps) };
-        }
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: feature presence just checked.
-            return unsafe { floored_gaps_avx2(uniforms, ln_q, gaps) };
-        }
-    }
-    floored_gaps_core(uniforms, ln_q, gaps);
+/// * On dense tails a threshold table answers most draws with integer work
+///   only. The gap changes only where `u` crosses a threshold `q^k`. The
+///   table splits each binade of `u` into `2^bits` buckets by the top
+///   mantissa bits, narrow enough (in `ln u`) that at most one threshold
+///   falls in each, and stores per bucket the gap at its top and that
+///   threshold as integer mantissa bounds certified by [`GAP_BAND`].
+/// * Other draws, and every draw where no table pays, take [`fast_ln`]
+///   certified by [`FAST_LN_EPS`].
+/// * Whatever neither certifies, a draw in a threshold's band included,
+///   runs the exact logarithm.
+#[derive(Debug)]
+pub(crate) struct GapSampler {
+    ln_q: f64,
+    inv_ln_q: f64,
+    /// The fast-ln error interval mapped through the division, doubled to
+    /// absorb the rounding of the certification itself.
+    delta0: f64,
+    ln_tables: &'static LnTables,
+    /// Smallest mantissa the table covers; `u64::MAX` without a table.
+    table_min: u64,
+    /// Buckets per binade, as a power of two.
+    bucket_bits: u32,
+    table: Vec<GapBucket>,
 }
 
-/// [`floored_gaps_core`] compiled with AVX-512F codegen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn floored_gaps_avx512(uniforms: &[f64], ln_q: f64, gaps: &mut [f64]) {
-    floored_gaps_core(uniforms, ln_q, gaps);
-}
-
-/// [`floored_gaps_core`] compiled with AVX2 codegen.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn floored_gaps_avx2(uniforms: &[f64], ln_q: f64, gaps: &mut [f64]) {
-    floored_gaps_core(uniforms, ln_q, gaps);
-}
-
-/// The dispatch body of [`floored_gaps`]: a branch-free certification loop
-/// the autovectorizer can spread across SIMD lanes (NaN marks the rare
-/// uncertified elements — real gaps are always finite), then a scalar
-/// libm-`ln` fixup pass.
-#[inline(always)]
-fn floored_gaps_core(uniforms: &[f64], ln_q: f64, gaps: &mut [f64]) {
-    assert_eq!(uniforms.len(), gaps.len(), "gap buffer length mismatch");
-    let inv_ln_q = 1.0 / ln_q;
-    // δ0: the fast-ln error interval mapped through the division, doubled
-    // to absorb the rounding of this very computation.
-    let delta0 = 2.0 * FAST_LN_EPS * (-inv_ln_q);
-    for (g, &u) in gaps.iter_mut().zip(uniforms) {
-        let r = fast_ln(u) * inv_ln_q;
-        let f = r.floor();
-        let s = r - f;
-        let delta = delta0 + r.abs() * 2e-15;
-        *g = if s >= delta && (1.0 - s) > delta {
-            f
-        } else {
-            f64::NAN
+impl GapSampler {
+    /// Prepares the gaps of Bernoulli(`p`), `0 < p < 1`, for a walk expected
+    /// to take `expected_draws` draws. Building the table is
+    /// `O(buckets + thresholds)`, with fewer thresholds than buckets, and
+    /// costs about what three table lookups save over the certified
+    /// logarithm; so it gets at most an eighth as many buckets as there are
+    /// draws, and is built only when that buys [`GAP_TABLE_MIN_BINADES`].
+    pub(crate) fn new(p: f64, expected_draws: f64) -> Self {
+        let ln_q = (-p).ln_1p(); // ln(1 - p), strictly negative
+        let inv_ln_q = 1.0 / ln_q;
+        let mut sampler = Self {
+            ln_q,
+            inv_ln_q,
+            delta0: 2.0 * FAST_LN_EPS * (-inv_ln_q),
+            ln_tables: ln_tables(),
+            table_min: u64::MAX,
+            bucket_bits: 0,
+            table: Vec::new(),
         };
-    }
-    for (g, &u) in gaps.iter_mut().zip(uniforms) {
-        if g.is_nan() {
-            *g = (u.ln() / ln_q).floor();
+        // Buckets narrower in `ln u` than the thresholds' spacing `|ln_q|`:
+        // a bucket spans less than `ln(1 + 2^-bits) < 2^-bits`.
+        let bits = (-inv_ln_q).log2().ceil().max(0.0);
+        if bits <= 12.0 {
+            let bits = bits as usize;
+            let budget = (expected_draws / 8.0).min(GAP_TABLE_MAX_BUCKETS as f64) as usize;
+            let binades = (budget >> bits).min(GAP_TABLE_BINADES).min(53 - bits);
+            if binades >= GAP_TABLE_MIN_BINADES {
+                sampler.build_table(bits, binades);
+            }
         }
+        sampler
+    }
+
+    /// Builds the table of `binades` binades of `2^bits` buckets each.
+    fn build_table(&mut self, bits: usize, binades: usize) {
+        const SCALE: f64 = (1u64 << 53) as f64;
+        let table_min = 1u64 << (53 - binades);
+        // Each threshold's band `[lo, hi]` in mantissa space, descending.
+        // Truncation floors these non-negative values; `+ 1` rounds up.
+        let q = self.ln_q.exp();
+        let mut bands: Vec<(u64, u64)> = Vec::new();
+        let mut t = 1.0f64;
+        for k in 1u32.. {
+            t *= q;
+            let w = GAP_BAND + f64::from(k) * GAP_BAND_PER_STEP;
+            let hi = (t * (1.0 + w) * SCALE) as u64 + 1;
+            if hi < table_min {
+                break;
+            }
+            bands.push(((t * (1.0 - w) * SCALE) as u64, hi));
+        }
+        // Buckets from the largest mantissa down. The first `counted` bands
+        // lie wholly above the current bucket, so each of its draws has at
+        // least that gap; of the bands after them, those reaching into the
+        // bucket are what a draw must be compared against.
+        let per = 1usize << bits;
+        let mut table = vec![GapBucket::default(); binades << bits];
+        let mut counted = 0;
+        for binade in 0..binades {
+            let shift = 52 - binade - bits;
+            for j in (0..per).rev() {
+                let first = ((per + j) as u64) << shift;
+                let last = (((per + j + 1) as u64) << shift) - 1;
+                while counted < bands.len() && bands[counted].0 > last {
+                    counted += 1;
+                }
+                let reaching = bands[counted..]
+                    .iter()
+                    .take(2)
+                    .take_while(|&&(_, hi)| hi >= first)
+                    .count();
+                let gap = counted as u64;
+                table[(binade << bits) | j] = match reaching {
+                    0 => GapBucket {
+                        lo: 0,
+                        span: 0,
+                        gap,
+                    },
+                    1 => GapBucket {
+                        lo: bands[counted].0,
+                        span: bands[counted].1 - bands[counted].0,
+                        gap,
+                    },
+                    _ => GapBucket {
+                        lo: 0,
+                        span: u64::MAX,
+                        gap,
+                    },
+                };
+            }
+        }
+        self.table_min = table_min;
+        self.bucket_bits = bits as u32;
+        self.table = table;
+    }
+
+    /// The gap for the mantissa `m >= 1` of one draw, saturated to `u64`.
+    #[inline(always)]
+    pub(crate) fn gap(&self, m: u64) -> u64 {
+        if m >= self.table_min {
+            // Binade `lz - 11` (0 for `u` in [0.5, 1)), then the top
+            // `bucket_bits` mantissa bits below the leading one.
+            let lz = m.leading_zeros();
+            let top = ((m << lz) >> (63 - self.bucket_bits)) as usize;
+            let b = self.table
+                [((lz - 11) as usize) << self.bucket_bits | top & ((1 << self.bucket_bits) - 1)];
+            if m.wrapping_sub(b.lo) > b.span {
+                return b.gap + u64::from(m < b.lo);
+            }
+            return self.exact_gap(m);
+        }
+        self.certified_gap(m)
+    }
+
+    /// The gap from [`fast_ln`]: with `r = fast_ln(m) / ln_q`, every value
+    /// the exact path can produce lies within `δ = 2ε/|ln_q| + 2e-15·|r|`
+    /// of `r` (the `ε`-interval mapped through the division, doubled for
+    /// slack, plus the reciprocal, the multiply and the exact path's own
+    /// division rounding, each `≤ 1.2e-16·|r|`, with >10x margin). So when
+    /// the fractional part of `r` keeps `[r-δ, r+δ]` strictly inside one
+    /// unit interval, `⌊r⌋` is the exact gap; otherwise the exact path runs.
+    /// On `[0, 2^52)` truncation floors `r` and `r - ⌊r⌋` is exact; anything
+    /// else (a negative `r`, for `u` within `ε` of 1) takes the exact path.
+    #[inline(always)]
+    fn certified_gap(&self, m: u64) -> u64 {
+        let r = fast_ln(self.ln_tables, m) * self.inv_ln_q;
+        if (0.0..TWO_52).contains(&r) {
+            let f = r as i64 as u64;
+            let s = r - (f64::from_bits(MAGIC_2_52 + f) - TWO_52);
+            let delta = self.delta0 + r * 2e-15;
+            if s >= delta && 1.0 - s > delta {
+                return f;
+            }
+        }
+        self.exact_gap(m)
+    }
+
+    /// The scalar walk's own gap expression, saturated to `u64`.
+    #[cold]
+    #[inline(never)]
+    fn exact_gap(&self, m: u64) -> u64 {
+        ((m as f64 * UNIT).ln() / self.ln_q).floor() as u64
     }
 }
 
@@ -475,23 +655,43 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The gap the scalar walk computes for the mantissa `m`.
+    fn exact(m: u64, ln_q: f64) -> u64 {
+        ((m as f64 * UNIT).ln() / ln_q).floor() as u64
+    }
+
+    /// Two samplers for `p`: one with a table (expected draws far past the
+    /// budget) and one without (no expected draws).
+    fn samplers(p: f64) -> (GapSampler, GapSampler) {
+        (GapSampler::new(p, 1e9), GapSampler::new(p, 0.0))
+    }
+
+    /// A generator that returns one fixed word.
+    struct Fixed(u64);
+
+    impl rand::RngCore for Fixed {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
     #[test]
-    fn buffered_bernoulli_walk_matches_scalar_walk_and_stream() {
+    fn gap_walk_matches_scalar_walk_and_stream() {
         // Identical indices AND identical post-call generator state across
-        // sizes straddling the chunk boundary and probabilities from dense
-        // tails to near-empty ones (plus both degenerate edges).
-        for &n in &[1usize, 7, 100, 1023, 1024, 1025, 50_000] {
-            for &p in &[0.0, 1e-6, 1e-3, 0.05, 0.42, 0.9, 1.0] {
+        // sizes and probabilities from dense tails (gap table) to near-empty
+        // ones (certified logarithm), plus both degenerate edges.
+        for &n in &[1usize, 7, 100, 1023, 1024, 1025, 50_000, 400_000] {
+            for &p in &[0.0, 1e-6, 1e-3, 0.0139, 0.05, 0.42, 0.9, 1.0] {
                 for seed in 0..3u64 {
                     let mut scalar_rng = StdRng::seed_from_u64(seed);
-                    let mut buffered_rng = StdRng::seed_from_u64(seed);
-                    let (mut scalar, mut buffered) = (Vec::new(), Vec::new());
+                    let mut walk_rng = StdRng::seed_from_u64(seed);
+                    let (mut scalar, mut walked) = (Vec::new(), Vec::new());
                     sample_bernoulli_indices_into(n, p, &mut scalar_rng, &mut scalar);
-                    sample_bernoulli_indices_buffered(n, p, &mut buffered_rng, &mut buffered);
-                    assert_eq!(scalar, buffered, "indices diverged (n={n}, p={p})");
+                    walk_bernoulli(n, p, &mut walk_rng, |i| walked.push(i));
+                    assert_eq!(scalar, walked, "indices diverged (n={n}, p={p})");
                     assert_eq!(
                         scalar_rng.gen::<u64>(),
-                        buffered_rng.gen::<u64>(),
+                        walk_rng.gen::<u64>(),
                         "generator state diverged (n={n}, p={p})"
                     );
                 }
@@ -501,74 +701,128 @@ mod tests {
 
     #[test]
     fn fast_ln_stays_within_its_certified_bound() {
-        // Random coverage of the full unit-open range plus the extremes the
-        // sampler can actually produce. The bound claimed is FAST_LN_EPS
-        // minus libm's share; assert with margin against the whole budget.
-        let mut rng = StdRng::seed_from_u64(11);
-        let check = |u: f64| {
-            let err = (fast_ln(u) - u.ln()).abs();
-            assert!(err < 1e-12, "fast_ln error {err:.3e} at u={u:e}");
+        // Random coverage of the full unit-open range, log-uniform too, plus
+        // the extremes the sampler can produce and every segment's edges.
+        // The bound claimed is FAST_LN_EPS minus libm's share; assert with
+        // margin against half the budget.
+        let tables = ln_tables();
+        let check = |m: u64| {
+            let u = m as f64 * UNIT;
+            let err = (fast_ln(tables, m) - u.ln()).abs();
+            assert!(
+                err < FAST_LN_EPS / 2.0,
+                "fast_ln error {err:.3e} at u={u:e}"
+            );
         };
+        let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..200_000 {
-            check(sample_unit_open(&mut rng));
+            let m = draw_unit_mantissa(&mut rng);
+            check(m);
+            check((m >> (rng.gen::<u32>() % 53)).max(1));
         }
-        check(f64::from_bits(1.0f64.to_bits() - 1)); // largest value < 1
-        check((2.0f64).powi(-53)); // smallest unit-open draw
-        check(std::f64::consts::SQRT_2 / 2.0);
-        check(0.5);
-        check(0.25);
+        let top = (1u64 << 53) - 1;
+        for m in [1, 2, 3, top, top - 1, 1 << 52, (1 << 52) + 1, (1 << 52) - 1] {
+            check(m);
+        }
+        // Midpoints of segments, where the secant is farthest from ln.
+        for j in 0..1u64 << LN_SEGMENT_BITS {
+            let first = (1u64 << 52) | j << (52 - LN_SEGMENT_BITS);
+            check(first);
+            check(first + (1 << (51 - LN_SEGMENT_BITS)));
+        }
     }
 
     #[test]
     fn certified_gaps_match_exact_computation() {
-        // Random uniforms across tail densities: the certified path must be
-        // bit-equivalent to the libm-ln computation it replaces.
+        // Random draws across tail densities, uniform and log-uniform in u
+        // (so every binade, below the table too): the table and the
+        // certified logarithm must both give the exact gap bit for bit.
         let mut rng = StdRng::seed_from_u64(12);
-        for &p in &[1e-9f64, 1e-6, 1e-3, 0.05, 0.3, 0.42, 0.9, 0.999_999] {
+        for &p in &[
+            1e-9f64, 1e-6, 1e-4, 1e-3, 3.5e-3, 0.0139, 0.05, 0.3, 0.42, 0.9, 0.999_999,
+        ] {
             let ln_q = (-p).ln_1p();
-            let uniforms: Vec<f64> = (0..100_000).map(|_| sample_unit_open(&mut rng)).collect();
-            let mut gaps = vec![0.0f64; uniforms.len()];
-            floored_gaps(&uniforms, ln_q, &mut gaps);
-            for (&u, &g) in uniforms.iter().zip(&gaps) {
-                let exact = (u.ln() / ln_q).floor();
-                assert!(
-                    g == exact,
-                    "certified gap {g} != exact {exact} (u={u:e}, p={p})"
-                );
+            let (table, plain) = samplers(p);
+            for i in 0..100_000u32 {
+                let m = draw_unit_mantissa(&mut rng);
+                let m = if i % 2 == 0 {
+                    m
+                } else {
+                    (m >> (rng.gen::<u32>() % 53)).max(1)
+                };
+                let want = exact(m, ln_q);
+                assert_eq!(table.gap(m), want, "table gap (m={m}, p={p})");
+                assert_eq!(plain.gap(m), want, "certified gap (m={m}, p={p})");
             }
         }
     }
 
     #[test]
     fn certified_gaps_survive_boundary_adversaries() {
-        // Uniforms engineered so the quotient sits within a few ulps of an
-        // integer — exactly where certification must refuse the fast value
-        // and the fixup must reproduce libm's rounding.
-        for &p in &[1e-6f64, 1e-3, 0.05, 0.42] {
+        // Mantissas on or next to every place a gap can change: within 100
+        // ulps of each threshold q^k (where the quotient is within a few ulps
+        // of an integer, so certification must refuse and the exact path
+        // must reproduce libm's rounding), on and beside each table band's
+        // edges, and on each bucket's edges.
+        let scale = (1u64 << 53) as f64;
+        for &p in &[1e-6f64, 1e-3, 3.5e-3, 0.0139, 0.0446, 0.05, 0.42, 0.999] {
             let ln_q = (-p).ln_1p();
-            let mut uniforms = Vec::new();
-            for gap in [0u32, 1, 2, 7, 100, 12_345] {
-                let u0 = (f64::from(gap) * ln_q).exp();
-                if !(u0 > 0.0 && u0 < 1.0) {
-                    continue;
+            let (table, plain) = samplers(p);
+            assert!(p < 2e-3 || !table.table.is_empty(), "no gap table at p={p}");
+            let mut probes = Vec::new();
+            for k in 1..=3000u32 {
+                let m0 = ((f64::from(k) * ln_q).exp() * scale) as u64;
+                if m0 == 0 {
+                    break;
                 }
-                let bits = u0.to_bits();
-                for delta in -100i64..=100 {
-                    let u = f64::from_bits(bits.wrapping_add_signed(delta));
-                    if u > 0.0 && u < 1.0 {
-                        uniforms.push(u);
-                    }
+                probes.extend((-100i64..=100).map(|d| m0.wrapping_add_signed(d)));
+            }
+            for b in table
+                .table
+                .iter()
+                .filter(|b| b.span != 0 && b.span != u64::MAX)
+            {
+                for edge in [b.lo, b.lo + b.span] {
+                    probes.extend([edge - 1, edge, edge + 1]);
                 }
             }
-            let mut gaps = vec![0.0f64; uniforms.len()];
-            floored_gaps(&uniforms, ln_q, &mut gaps);
-            for (&u, &g) in uniforms.iter().zip(&gaps) {
-                let exact = (u.ln() / ln_q).floor();
-                assert!(
-                    g == exact,
-                    "boundary gap {g} != exact {exact} (u bits {:#x}, p={p})",
-                    u.to_bits()
-                );
+            let per = 1u64 << table.bucket_bits;
+            for binade in 0..table.table.len() as u64 / per {
+                let shift = 52 - binade - u64::from(table.bucket_bits);
+                for j in 0..per {
+                    let first = (per + j) << shift;
+                    probes.extend([first - 1, first, first + 1]);
+                }
+            }
+            for m in probes.into_iter().filter(|m| (1..1u64 << 53).contains(m)) {
+                let want = exact(m, ln_q);
+                assert_eq!(table.gap(m), want, "table gap (m={m:#x}, p={p})");
+                assert_eq!(plain.gap(m), want, "certified gap (m={m:#x}, p={p})");
+            }
+        }
+    }
+
+    #[test]
+    fn flip_threshold_is_gen_bool_on_the_raw_draw() {
+        let top = (1u64 << 53) - 1;
+        // The edges, then probabilities off the 2^-53 grid, where the
+        // threshold is a rounded-up product.
+        for (p, thr) in [
+            (0.0, 0),
+            (UNIT, 1),
+            (0.5, 1 << 52),
+            (1.0 - UNIT, top),
+            (1.0, 1 << 53),
+            (UNIT / 2.0, 1),
+            (1e-300, 1),
+            (0.3, 2_702_159_776_422_298),
+        ] {
+            assert_eq!(flip_threshold(p), thr, "threshold at p={p}");
+            for m in [0, 1, thr.saturating_sub(1), thr, thr + 1, top] {
+                if m <= top {
+                    let mut rng = Fixed(m << 11 | 0x7FF);
+                    assert_eq!(rng.gen_bool(p), m < thr, "gen_bool at p={p}, m={m}");
+                }
             }
         }
     }

@@ -26,8 +26,8 @@
 use crate::fault::{VminFaultModel, V_DATA_RETENTION};
 use crate::geometry::MacroGeometry;
 use crate::math::{
-    q_tail, q_tail_inv, sample_bernoulli_indices_buffered, sample_bernoulli_indices_into,
-    sample_unit_open, tail_probability, truncated_tail_normal, worst_cell_window,
+    q_tail, q_tail_inv, sample_unit_open, tail_probability, truncated_tail_normal, walk_bernoulli,
+    worst_cell_window,
 };
 use crate::sparse::{vmin_above_floor, SparseCell, SparseOverlay};
 use dante_circuit::units::Volt;
@@ -557,7 +557,8 @@ fn background_summary(
     assert!(bits > 0, "a die needs at least one cell");
     let p_floor = model.bit_error_rate(v_floor);
     let p_flip = model.read_flip_probability();
-    sample_bernoulli_indices_buffered(bits, p_floor, rng, indices);
+    indices.clear();
+    walk_bernoulli(bits, p_floor, rng, |index| indices.push(index));
     tail.clear();
     for _ in 0..indices.len() {
         tail.push(tail_probability(sample_unit_open(rng), p_floor));
@@ -623,50 +624,18 @@ impl DieFaultModel {
         }
     }
 
-    /// The floor fast path of [`Self::sample_cells_into`]: identical cell
-    /// indices and flip decisions, but V_min values are pinned one ULP
-    /// above the floor instead of drawn from the tail — valid only for a
-    /// consumer that applies the overlay at exactly `v_floor` (there the
-    /// corruption words are bit-identical to the slow path's; see
-    /// [`SparseOverlay::sample_cells_at_floor_into`]).
-    ///
-    /// A Gaussian die elides its quantile math; a correlated-burst die
-    /// falls back to the exact slow path, because its weak-cell merge keeps
-    /// the *higher* of two tail draws when a burst lands on a background
-    /// cell — a comparison that needs the real V_min values to pick the
-    /// surviving flip bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or `v_floor` is below data retention.
-    pub fn sample_cells_at_floor_into(
-        &self,
-        bits: usize,
-        v_floor: Volt,
-        seed: u64,
-        indices: &mut Vec<u64>,
-        cells: &mut Vec<SparseCell>,
-    ) {
-        match self {
-            Self::Gaussian(m) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                SparseOverlay::sample_cells_at_floor_into(
-                    bits, m, v_floor, &mut rng, indices, cells,
-                );
-            }
-            Self::CorrelatedBurst(_) => {
-                self.sample_cells_into(bits, v_floor, seed, indices, cells);
-            }
-        }
-    }
-
-    /// Streaming form of [`Self::sample_cells_at_floor_into`]: emits
+    /// The floor fast path of [`Self::sample_cells_into`], streamed: emits
     /// `(word_index, flip_mask)` for every word with at least one flipped
-    /// bit, ascending, without materializing cells on the Gaussian path
-    /// (see [`SparseOverlay::for_each_flip_word_at_floor`]). A burst die
-    /// samples exactly as the slow path and groups its cells' flips —
-    /// every sampled cell's V_min is strictly above the floor, so at the
-    /// floor the flip mask is just the flip bits.
+    /// bit, ascending, exactly the slow path's flip bits — valid only for a
+    /// consumer that applies the overlay at exactly `v_floor`, where every
+    /// sampled cell's V_min is strictly above the voltage.
+    ///
+    /// A Gaussian die builds no cells and computes no V_min (see
+    /// [`SparseOverlay::for_each_flip_word_at_floor`]). A correlated-burst
+    /// die samples exactly as the slow path and groups its cells' flips,
+    /// because its weak-cell merge keeps the *higher* of two tail draws when
+    /// a burst lands on a background cell — a comparison that needs the real
+    /// V_min values to pick the surviving flip bit.
     ///
     /// # Panics
     ///
@@ -810,7 +779,10 @@ impl BurstDie {
         mut visit: impl FnMut(u64, &mut StdRng),
     ) {
         let bpw = MacroGeometry::dante_4kb().bits_per_word() as u64; // a row is one word
-        sample_bernoulli_indices_into(bits.div_ceil(bpw as usize), self.row_weak, rng, walk);
+        walk.clear();
+        walk_bernoulli(bits.div_ceil(bpw as usize), self.row_weak, rng, |row| {
+            walk.push(row);
+        });
         for &row in walk.iter() {
             for bit in 0..bpw {
                 let index = row * bpw + bit;
@@ -837,7 +809,8 @@ impl BurstDie {
         let bpw = geom.bits_per_word() as u64;
         let tile_bits = geom.capacity_bits(); // 512 words x 64 bits
         for tile in 0..bits.div_ceil(tile_bits) {
-            sample_bernoulli_indices_into(bpw as usize, self.col_weak, rng, walk);
+            walk.clear();
+            walk_bernoulli(bpw as usize, self.col_weak, rng, |col| walk.push(col));
             for &col in walk.iter() {
                 for word in 0..geom.words() as u64 {
                     let index = (tile * tile_bits) as u64 + word * bpw + col;
@@ -992,16 +965,13 @@ mod tests {
                         expected[(c.index / 64) as usize] |= 1u64 << (c.index % 64);
                     }
                 }
-                let (mut fi, mut fc) = (Vec::new(), Vec::new());
-                die.sample_cells_at_floor_into(bits, floor, seed, &mut fi, &mut fc);
-                assert_eq!(sc.len(), fc.len());
-                assert!(sc
-                    .iter()
-                    .zip(fc.iter())
-                    .all(|(s, f)| s.index == f.index && s.flip == f.flip));
                 let (mut wi, mut wc) = (Vec::new(), Vec::new());
                 let mut streamed = vec![0u64; words];
+                let mut last = None;
                 die.for_each_flip_word_at_floor(bits, floor, seed, &mut wi, &mut wc, |w, m| {
+                    assert_ne!(m, 0, "only non-zero masks are emitted");
+                    assert!(last.is_none_or(|p| w > p), "ascending word order");
+                    last = Some(w);
                     streamed[w] = m;
                 });
                 assert_eq!(expected, streamed, "streamed flips diverged ({die:?})");

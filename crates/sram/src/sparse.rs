@@ -24,8 +24,8 @@
 use crate::fault::VminFaultModel;
 use crate::fault_map::{bit_mask, word_index};
 use crate::math::{
-    sample_bernoulli_indices_buffered, sample_bernoulli_indices_into, sample_unit_open,
-    truncated_tail_normal,
+    draw_unit_mantissa, flip_threshold, sample_bernoulli_indices_into, truncated_tail_normal,
+    walk_bernoulli,
 };
 use crate::storage::{CorruptionOverlay, FaultOverlay};
 use dante_circuit::units::Volt;
@@ -148,64 +148,35 @@ impl SparseOverlay {
         }
     }
 
-    /// The floor fast path of [`Self::sample_cells_into`]: same faulty-cell
-    /// indices, same flip decisions, same RNG stream — but every cell's
-    /// `vmin` is pinned one ULP above the floor instead of drawn from the
-    /// Gaussian tail, eliding the inverse-CDF math (the dominant cost at
-    /// deep floors, where nearly half the die can be in the tail).
+    /// The floor fast path of [`Self::sample_cells_into`], streamed: calls
+    /// `emit(word_index, mask)` for every 64-bit word with a non-zero flip
+    /// mask, in ascending word order. The masks are the slow path's flip
+    /// bits, bit for bit, and the generator ends where the slow path leaves
+    /// it, but no V_min is computed and no cell is built.
     ///
     /// The elision is exact *only for a consumer that applies the overlay
     /// at precisely `v_floor`*: there every sampled cell satisfies
-    /// `v < vmin` regardless of where in the tail its V_min landed, so the
-    /// flip words are bit-identical to the slow path's. Anything that reads
-    /// the V_min values themselves (fleet V_min quantiles, multi-voltage
-    /// reuse of one overlay) must keep using [`Self::sample_cells_into`].
+    /// `v < vmin` wherever in the tail its V_min lands, so only the flip
+    /// bits matter. Anything that reads the V_min values themselves (fleet
+    /// V_min quantiles, multi-voltage reuse of one overlay) must keep using
+    /// [`Self::sample_cells_into`].
     ///
-    /// Stream alignment: `truncated_tail_normal` consumes exactly one
-    /// [`sample_unit_open`] draw per cell, so this path draws and discards
-    /// the same uniform, keeping every subsequent `gen_bool` — and any
-    /// caller continuing on the same RNG — bit-identical to the slow path.
+    /// The slow path draws the whole gap walk, then per cell one uniform
+    /// (its V_min) and one `gen_bool(p_flip)`. This path draws the same
+    /// words in the same order in three passes, using `indices` as scratch
+    /// of its own layout:
     ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is zero or `v_floor` is below data retention.
-    pub fn sample_cells_at_floor_into<R: Rng + Clone>(
-        bits: usize,
-        model: &VminFaultModel,
-        v_floor: Volt,
-        rng: &mut R,
-        indices: &mut Vec<u64>,
-        cells: &mut Vec<SparseCell>,
-    ) {
-        assert!(bits > 0, "a die needs at least one cell");
-        let p_floor = model.bit_error_rate(v_floor);
-        let floor_f32 = v_floor.volts() as f32;
-        let p_flip = model.read_flip_probability();
-        sample_bernoulli_indices_buffered(bits, p_floor, rng, indices);
-        cells.clear();
-        cells.reserve(indices.len());
-        let vmin = next_up(floor_f32);
-        for &index in indices.iter() {
-            let _ = sample_unit_open(rng);
-            cells.push(SparseCell {
-                index,
-                vmin,
-                flip: rng.gen_bool(p_flip),
-            });
-        }
-    }
-
-    /// The streaming form of [`Self::sample_cells_at_floor_into`]: instead
-    /// of materializing `SparseCell`s, groups the flip decisions word by
-    /// word and calls `emit(word_index, mask)` for every 64-bit word with a
-    /// non-zero flip mask, in ascending word order. `indices` still buffers
-    /// the faulty-index walk (the slow path draws *all* gap uniforms before
-    /// any per-cell draw, and matching that order exactly is what keeps the
-    /// RNG stream bit-identical), but no cell vector is built or re-scanned
-    /// — the hot Monte-Carlo corrupt loop reads each faulty index once.
-    ///
-    /// Same contract as the cell-building fast path: exact only for a
-    /// consumer applying the overlay at precisely `v_floor`.
+    /// 1. the gap walk (`math::walk_bernoulli`: exact integer gaps from a
+    ///    threshold table or a certified logarithm) writes one
+    ///    `(word, faulty mask)` pair per word that holds a faulty cell;
+    /// 2. one tight loop draws each cell's uniform, redrawing a zero
+    ///    mantissa as [`crate::math::sample_unit_open`] does, and its flip,
+    ///    `gen_bool(p_flip)` as an integer compare of the raw draw, into a
+    ///    bitstream;
+    /// 3. each faulty mask takes its popcount of bits from the stream,
+    ///    scattered onto its set bits by BMI2 `pdep` where the CPU has it
+    ///    (detected at run time) and by a portable bit loop otherwise; the
+    ///    non-zero masks are compacted without a branch, then emitted.
     ///
     /// # Panics
     ///
@@ -221,27 +192,15 @@ impl SparseOverlay {
         assert!(bits > 0, "a die needs at least one cell");
         let p_floor = model.bit_error_rate(v_floor);
         let p_flip = model.read_flip_probability();
-        sample_bernoulli_indices_buffered(bits, p_floor, rng, indices);
-        let mut word = usize::MAX;
-        let mut mask = 0u64;
-        for &index in indices.iter() {
-            let _ = sample_unit_open(rng);
-            let flip = rng.gen_bool(p_flip);
-            let w = word_index(index as usize);
-            if w != word {
-                if mask != 0 {
-                    emit(word, mask);
-                }
-                word = w;
-                mask = 0;
-            }
-            if flip {
-                mask |= bit_mask(index as usize);
-            }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("bmi2")
+            && std::arch::is_x86_feature_detected!("lzcnt")
+            && std::arch::is_x86_feature_detected!("popcnt")
+        {
+            // SAFETY: feature presence just checked.
+            return unsafe { flip_words_bmi2(bits, p_floor, p_flip, rng, indices, &mut emit) };
         }
-        if mask != 0 {
-            emit(word, mask);
-        }
+        flip_words(bits, p_floor, p_flip, rng, indices, &mut emit, deposit_bits);
     }
 
     /// Extracts the sparse view of a dense overlay: exactly the dense die's
@@ -410,6 +369,146 @@ impl CorruptionOverlay for SparseOverlay {
     }
 }
 
+/// Pass 1 of [`flip_words`]: walks the die and writes one
+/// `(word, faulty mask)` pair per word with a faulty cell into the first
+/// `2 * room` slots of `scratch` (grown to fit, never shrunk). Returns the
+/// slots the pairs need and the cell count; needing more than `2 * room`
+/// means the walk ran out of room and its pairs are not all there. Every
+/// cell rewrites its word's pair, moving to the next pair when the word
+/// changes, so no branch depends on where the random gaps land.
+#[inline(always)]
+fn walk_pairs<R: Rng + ?Sized>(
+    bits: usize,
+    p_floor: f64,
+    rng: &mut R,
+    scratch: &mut Vec<u64>,
+    room: usize,
+) -> (usize, usize) {
+    if scratch.len() < 2 * room {
+        scratch.resize(2 * room, 0);
+    }
+    let slots = &mut scratch[..2 * room];
+    let (mut word, mut faulty, mut at, mut cells) = (u64::MAX, 0u64, usize::MAX, 0usize);
+    walk_bernoulli(bits, p_floor, rng, |index| {
+        let next = index >> 6 != word;
+        at = at.wrapping_add(usize::from(next));
+        faulty = (faulty & u64::from(next).wrapping_sub(1)) | 1 << (index & 63);
+        word = index >> 6;
+        // Past the room, the last pair takes every write.
+        let slot = 2 * at.min(room - 1);
+        slots[slot] = word;
+        slots[slot + 1] = faulty;
+        cells += 1;
+    });
+    (2 * at.wrapping_add(1), cells)
+}
+
+/// [`flip_words`] compiled with BMI2, LZCNT and POPCNT, scattering with
+/// `pdep`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "bmi2,lzcnt,popcnt")]
+fn flip_words_bmi2<R: Rng + Clone>(
+    bits: usize,
+    p_floor: f64,
+    p_flip: f64,
+    rng: &mut R,
+    scratch: &mut Vec<u64>,
+    emit: &mut impl FnMut(usize, u64),
+) {
+    flip_words(bits, p_floor, p_flip, rng, scratch, emit, |src, mask| {
+        std::arch::x86_64::_pdep_u64(src, mask)
+    });
+}
+
+/// The three passes of [`SparseOverlay::for_each_flip_word_at_floor`].
+/// `deposit(src, mask)` is `pdep`: it scatters the low bits of `src`, lowest
+/// first, onto the set bits of `mask`.
+#[inline(always)]
+fn flip_words<R: Rng + Clone>(
+    bits: usize,
+    p_floor: f64,
+    p_flip: f64,
+    rng: &mut R,
+    scratch: &mut Vec<u64>,
+    emit: &mut impl FnMut(usize, u64),
+    deposit: impl Fn(u64, u64) -> u64,
+) {
+    // The generator is copied into a local for the two drawing passes: its
+    // state then stays in registers, where through `rng` every draw would
+    // store it back in case a scratch write aliased it.
+    let mut local = rng.clone();
+    // 1. The gap walk, as (word, faulty mask) pairs, into room sized before
+    //    the walk so that it writes a plain slice (no growth check or reload
+    //    of the buffer in the loop). Pairs never outnumber cells, and the
+    //    cell count passes its mean by 8 standard deviations plus 64 with
+    //    probability below 1e-15; should it, the walk runs again from a copy
+    //    of the generator with room for a pair per word of the die.
+    let words = bits.div_ceil(64);
+    let mean = bits as f64 * p_floor;
+    let mut room = ((mean + 8.0 * mean.sqrt() + 64.0) as usize).min(words);
+    let start = local.clone();
+    let (pair_len, cells) = loop {
+        let (pair_len, cells) = walk_pairs(bits, p_floor, &mut local, scratch, room);
+        if pair_len <= 2 * room {
+            break (pair_len, cells);
+        }
+        local = start.clone();
+        room = words;
+    };
+    // 2. The flip bitstream, 64 cells a word, then a zero word so that
+    //    pass 3 can always read the word after the one it starts in.
+    let stream_len = cells.div_ceil(64) + 1;
+    if scratch.len() < 2 * room + stream_len {
+        scratch.resize(2 * room + stream_len, 0);
+    }
+    let (pairs, stream) = scratch.split_at_mut(2 * room);
+    let threshold = flip_threshold(p_flip);
+    let mut left = cells;
+    for slot in &mut stream[..stream_len] {
+        let take = left.min(64);
+        let mut flips = 0u64;
+        for j in 0..take {
+            let _ = draw_unit_mantissa(&mut local);
+            flips |= u64::from(local.next_u64() >> 11 < threshold) << j;
+        }
+        *slot = flips;
+        left -= take;
+    }
+    *rng = local;
+    // 3. Each faulty mask takes the next popcount bits of the stream. The
+    //    non-zero flip masks are compacted over the pairs already read, so
+    //    that no branch depends on a random flip, and then emitted.
+    let (mut at, mut kept) = (0usize, 0usize);
+    for i in 0..pair_len / 2 {
+        let (w, faulty) = (pairs[2 * i], pairs[2 * i + 1]);
+        let (j, s) = (at >> 6, at & 63);
+        // The 64 stream bits from `at`; for `s == 0` the second term is 0.
+        let window = stream[j] >> s | (stream[j + 1] << 1) << (63 - s);
+        at += faulty.count_ones() as usize;
+        let flips = deposit(window, faulty);
+        pairs[2 * kept] = w;
+        pairs[2 * kept + 1] = flips;
+        kept += usize::from(flips != 0);
+    }
+    for pair in pairs[..2 * kept].chunks_exact(2) {
+        emit(pair[0] as usize, pair[1]);
+    }
+}
+
+/// Portable `pdep`: scatters the low bits of `src`, lowest first, onto the
+/// set bits of `mask`.
+#[inline]
+fn deposit_bits(mut src: u64, mut mask: u64) -> u64 {
+    let mut out = 0;
+    while mask != 0 {
+        let low = mask & mask.wrapping_neg();
+        out |= low & 0u64.wrapping_sub(src & 1);
+        src >>= 1;
+        mask ^= low;
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,16 +650,16 @@ mod tests {
 
     #[test]
     fn floor_fast_path_matches_slow_path_flips_and_stream() {
-        // Across floors spanning deep (p ~ 0.3) to shallow (p ~ 1e-4)
-        // tails: identical indices and flips, identical corruption words at
-        // the floor, and an identically positioned RNG stream afterwards.
+        // Across floors spanning deep (p ~ 0.42) to shallow (p ~ 1e-4)
+        // tails: the streamed flip words equal the slow overlay's corruption
+        // words at the floor, and the RNG stream is identically positioned
+        // afterwards.
         for &mv in &[360u32, 400, 440, 480, 520] {
             let floor = Volt::new(f64::from(mv) / 1000.0);
             for seed in 0..4u64 {
                 let mut slow_rng = StdRng::seed_from_u64(seed);
                 let mut fast_rng = StdRng::seed_from_u64(seed);
                 let (mut si, mut sc) = (Vec::new(), Vec::new());
-                let (mut fi, mut fc) = (Vec::new(), Vec::new());
                 SparseOverlay::sample_cells_into(
                     20_000,
                     &model(),
@@ -569,28 +668,21 @@ mod tests {
                     &mut si,
                     &mut sc,
                 );
-                SparseOverlay::sample_cells_at_floor_into(
+                assert!(sc.iter().all(|c| c.vmin > floor.volts() as f32));
+                let words = 20_000usize.div_ceil(64);
+                let mut slow = Vec::new();
+                SparseOverlay::from_cells(20_000, floor, sc)
+                    .corruption_words_into(floor, words, &mut slow);
+                let mut fast = vec![0u64; words];
+                SparseOverlay::for_each_flip_word_at_floor(
                     20_000,
                     &model(),
                     floor,
                     &mut fast_rng,
-                    &mut fi,
-                    &mut fc,
+                    &mut Vec::new(),
+                    |w, mask| fast[w] ^= mask,
                 );
-                assert_eq!(si, fi, "faulty index walk diverged at {mv} mV");
-                assert_eq!(sc.len(), fc.len());
-                for (s, f) in sc.iter().zip(fc.iter()) {
-                    assert_eq!(s.index, f.index);
-                    assert_eq!(s.flip, f.flip, "flip diverged at {mv} mV");
-                    assert!(f.vmin > floor.volts() as f32);
-                }
-                let words = 20_000usize.div_ceil(64);
-                let slow = SparseOverlay::from_cells(20_000, floor, sc);
-                let fast = SparseOverlay::from_cells(20_000, floor, fc);
-                let (mut sw, mut fw) = (Vec::new(), Vec::new());
-                slow.corruption_words_into(floor, words, &mut sw);
-                fast.corruption_words_into(floor, words, &mut fw);
-                assert_eq!(sw, fw, "corruption words diverged at {mv} mV");
+                assert_eq!(slow, fast, "corruption words diverged at {mv} mV");
                 // The streams stay aligned for any caller drawing further.
                 assert_eq!(slow_rng.gen::<u64>(), fast_rng.gen::<u64>());
             }
@@ -598,49 +690,91 @@ mod tests {
     }
 
     #[test]
-    fn streaming_flip_words_match_cell_building_fast_path() {
-        for &mv in &[360u32, 440, 500] {
-            let floor = Volt::new(f64::from(mv) / 1000.0);
-            for seed in 0..3u64 {
-                let mut cell_rng = StdRng::seed_from_u64(seed);
-                let mut word_rng = StdRng::seed_from_u64(seed);
-                let (mut ci, mut cc) = (Vec::new(), Vec::new());
-                SparseOverlay::sample_cells_at_floor_into(
-                    20_000,
-                    &model(),
-                    floor,
-                    &mut cell_rng,
-                    &mut ci,
-                    &mut cc,
-                );
-                let words = 20_000usize.div_ceil(64);
-                let mut expected = vec![0u64; words];
-                for c in &cc {
-                    if c.flip {
+    fn streaming_flip_words_match_the_slow_path_cells() {
+        // Sizes on and off the word grid, with one scratch buffer reused
+        // across every call (its layout is the streaming path's own).
+        let mut scratch = Vec::new();
+        for &bits in &[1usize, 63, 64, 65, 20_000, 20_031] {
+            for &mv in &[360u32, 440, 500] {
+                let floor = Volt::new(f64::from(mv) / 1000.0);
+                for seed in 0..3u64 {
+                    let mut cell_rng = StdRng::seed_from_u64(seed);
+                    let mut word_rng = StdRng::seed_from_u64(seed);
+                    let (mut ci, mut cc) = (Vec::new(), Vec::new());
+                    SparseOverlay::sample_cells_into(
+                        bits,
+                        &model(),
+                        floor,
+                        &mut cell_rng,
+                        &mut ci,
+                        &mut cc,
+                    );
+                    let words = bits.div_ceil(64);
+                    let mut expected = vec![0u64; words];
+                    for c in cc.iter().filter(|c| c.flip) {
                         expected[(c.index / 64) as usize] |= 1u64 << (c.index % 64);
                     }
+                    let mut streamed = vec![0u64; words];
+                    let mut last = None;
+                    SparseOverlay::for_each_flip_word_at_floor(
+                        bits,
+                        &model(),
+                        floor,
+                        &mut word_rng,
+                        &mut scratch,
+                        |w, mask| {
+                            assert_ne!(mask, 0, "only non-zero masks are emitted");
+                            assert!(last.is_none_or(|p| w > p), "ascending word order");
+                            last = Some(w);
+                            streamed[w] = mask;
+                        },
+                    );
+                    assert_eq!(expected, streamed, "flip words diverged at {mv} mV");
+                    // The portable scatter, which only CPUs without BMI2
+                    // would otherwise run.
+                    let mut portable_rng = StdRng::seed_from_u64(seed);
+                    let mut portable = vec![0u64; words];
+                    flip_words(
+                        bits,
+                        model().bit_error_rate(floor),
+                        model().read_flip_probability(),
+                        &mut portable_rng,
+                        &mut scratch,
+                        &mut |w, mask| portable[w] = mask,
+                        deposit_bits,
+                    );
+                    assert_eq!(expected, portable, "portable flips diverged at {mv} mV");
+                    let next = cell_rng.gen::<u64>();
+                    assert_eq!(next, word_rng.gen::<u64>());
+                    assert_eq!(next, portable_rng.gen::<u64>());
                 }
-                let mut wi = Vec::new();
-                let mut streamed = vec![0u64; words];
-                let mut last = None;
-                SparseOverlay::for_each_flip_word_at_floor(
-                    20_000,
-                    &model(),
-                    floor,
-                    &mut word_rng,
-                    &mut wi,
-                    |w, mask| {
-                        assert_ne!(mask, 0, "only non-zero masks are emitted");
-                        assert!(last.is_none_or(|p| w > p), "ascending word order");
-                        last = Some(w);
-                        streamed[w] = mask;
-                    },
-                );
-                assert_eq!(ci, wi, "index walk diverged at {mv} mV");
-                assert_eq!(expected, streamed, "flip words diverged at {mv} mV");
-                assert_eq!(cell_rng.gen::<u64>(), word_rng.gen::<u64>());
             }
         }
+    }
+
+    #[test]
+    fn portable_deposit_matches_the_pdep_definition() {
+        // Bit by bit: the k-th lowest set bit of the mask takes bit k of src.
+        let mut rng = StdRng::seed_from_u64(17);
+        for _ in 0..2000 {
+            let (src, mask) = (rng.gen::<u64>(), rng.gen::<u64>() & rng.gen::<u64>());
+            let mut want = 0u64;
+            let mut k = 0;
+            for bit in 0..64 {
+                if mask >> bit & 1 == 1 {
+                    want |= (src >> k & 1) << bit;
+                    k += 1;
+                }
+            }
+            assert_eq!(deposit_bits(src, mask), want);
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("bmi2") {
+                // SAFETY: feature presence just checked.
+                assert_eq!(unsafe { std::arch::x86_64::_pdep_u64(src, mask) }, want);
+            }
+        }
+        assert_eq!(deposit_bits(u64::MAX, 0), 0);
+        assert_eq!(deposit_bits(u64::MAX, u64::MAX), u64::MAX);
     }
 
     #[test]

@@ -6,12 +6,15 @@ use dante_sram::ber_fit::fit_vmin_model;
 use dante_sram::ecc;
 use dante_sram::fault::VminFaultModel;
 use dante_sram::geometry::{BankGeometry, MacroGeometry, MemoryGeometry};
-use dante_sram::math::{norm_ppf, phi_cdf, q_tail, q_tail_inv, worst_cell_window};
+use dante_sram::math::{
+    norm_ppf, phi_cdf, q_tail, q_tail_inv, sample_bernoulli_indices_into, sample_unit_open,
+    worst_cell_window,
+};
 use dante_sram::sparse::SparseOverlay;
 use dante_sram::storage::{CorruptionOverlay, FaultOverlay, FaultyMacro};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Wilson score interval for an observed binomial proportion (local copy:
 /// `dante-verify` depends on this crate, so its helper can't be used here).
@@ -23,6 +26,129 @@ fn wilson_interval(successes: u64, n: u64, z: f64) -> (f64, f64) {
     let center = (p + z2 / (2.0 * n)) / denom;
     let half = z * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt() / denom;
     (center - half, center + half)
+}
+
+/// `StdRng` with chosen raw words inserted at chosen positions of its
+/// output; the generator's own words shift back to make room. `drawn` counts
+/// every word handed out.
+#[derive(Clone)]
+struct Injected {
+    inner: StdRng,
+    /// `(output position, word)`, ascending by position.
+    inserts: Vec<(u64, u64)>,
+    next: usize,
+    drawn: u64,
+}
+
+impl Injected {
+    fn new(seed: u64, mut inserts: Vec<(u64, u64)>) -> Self {
+        inserts.sort_unstable_by_key(|&(at, _)| at);
+        Self {
+            inner: StdRng::seed_from_u64(seed),
+            inserts,
+            next: 0,
+            drawn: 0,
+        }
+    }
+}
+
+impl RngCore for Injected {
+    fn next_u64(&mut self) -> u64 {
+        let at = self.drawn;
+        self.drawn += 1;
+        match self.inserts.get(self.next) {
+            Some(&(pos, word)) if pos == at => {
+                self.next += 1;
+                word
+            }
+            _ => self.inner.next_u64(),
+        }
+    }
+}
+
+/// A raw word whose 53-bit mantissa is `m` (low bits arbitrary).
+fn raw_word(m: u64) -> u64 {
+    m << 11 | 0x5A5
+}
+
+/// The failure probabilities the flip-word wall covers.
+const WALL_PROBABILITIES: [f64; 7] = [0.0, 1e-9, 1e-4, 0.0446, 0.42, 0.999, 1.0];
+
+/// A model and floor whose failure probability is `p` (exactly, for 0 and
+/// 1: a floor far above or below a narrow distribution) or within a
+/// percent of it.
+fn model_at(p: f64, p_flip: f64) -> (VminFaultModel, Volt) {
+    let at = |mu: f64, sigma: f64| VminFaultModel::new(Volt::new(mu), Volt::new(sigma), p_flip);
+    if p == 0.0 {
+        (at(0.35, 0.001), Volt::new(0.6))
+    } else if p == 1.0 {
+        (at(0.9, 0.001), Volt::new(0.6))
+    } else {
+        let model = at(0.5, 0.04);
+        (model, model.voltage_for_ber(p))
+    }
+}
+
+/// The slow path's flip words at the floor and its faulty cells: the scalar
+/// gap walk, then per cell one unit-open uniform (its V_min) and one
+/// `gen_bool(p_flip)`.
+fn scalar_flip_words<R: Rng>(
+    bits: usize,
+    model: &VminFaultModel,
+    v: Volt,
+    rng: &mut R,
+) -> (Vec<u64>, Vec<u64>) {
+    let mut cells = Vec::new();
+    sample_bernoulli_indices_into(bits, model.bit_error_rate(v), rng, &mut cells);
+    let mut words = vec![0u64; bits.div_ceil(64)];
+    for &i in &cells {
+        let _ = sample_unit_open(rng);
+        if rng.gen_bool(model.read_flip_probability()) {
+            words[(i / 64) as usize] |= 1 << (i % 64);
+        }
+    }
+    (words, cells)
+}
+
+/// The streaming sampler's flip words, checking its emission contract
+/// (non-zero masks, ascending words) on the way.
+fn streamed_flip_words<R: Rng + Clone>(
+    bits: usize,
+    model: &VminFaultModel,
+    v: Volt,
+    rng: &mut R,
+    scratch: &mut Vec<u64>,
+) -> Vec<u64> {
+    let mut words = vec![0u64; bits.div_ceil(64)];
+    let mut last = None;
+    SparseOverlay::for_each_flip_word_at_floor(bits, model, v, rng, scratch, |w, mask| {
+        assert_ne!(mask, 0, "only non-zero masks are emitted");
+        assert!(last.is_none_or(|l| w > l), "ascending word order");
+        last = Some(w);
+        words[w] = mask;
+    });
+    words
+}
+
+/// Runs both samplers on clones of `rng`: same flip words, same generator
+/// position afterwards. Returns the faulty cells.
+fn assert_streams_agree(
+    bits: usize,
+    model: &VminFaultModel,
+    v: Volt,
+    rng: &Injected,
+    scratch: &mut Vec<u64>,
+) -> Vec<u64> {
+    let (mut slow_rng, mut fast_rng) = (rng.clone(), rng.clone());
+    let (slow, cells) = scalar_flip_words(bits, model, v, &mut slow_rng);
+    let fast = streamed_flip_words(bits, model, v, &mut fast_rng, scratch);
+    assert_eq!(slow, fast, "flip words diverged (bits {bits}, floor {v})");
+    assert_eq!(
+        slow_rng.drawn, fast_rng.drawn,
+        "draw counts diverged (bits {bits}, floor {v})"
+    );
+    assert_eq!(slow_rng.next_u64(), fast_rng.next_u64());
+    cells
 }
 
 proptest! {
@@ -354,4 +480,151 @@ fn probit_curve_below_retention_panics_regression() {
             (v, truth.bit_error_rate(v).clamp(1e-12, 0.999_999))
         })
         .collect();
+}
+
+/// The streaming flip-word sampler against the scalar walk plus per-cell
+/// draws, over every covered probability, sizes on and off the word grid up
+/// to 200k bits, and three read-flip probabilities. Some walks must end
+/// exactly at the last cell, with no terminating draw.
+#[test]
+fn streamed_flip_words_match_the_scalar_walk_on_a_grid() {
+    let mut scratch = Vec::new();
+    let mut ended_at_n = 0;
+    for p in WALL_PROBABILITIES {
+        for &bits in &[1usize, 2, 63, 64, 65, 127, 1000, 4097, 65_539, 200_000] {
+            for (seed, p_flip) in [(0u64, 0.5), (1, 1.0), (2, 0.03)] {
+                let (model, v) = model_at(p, p_flip);
+                let cells = assert_streams_agree(
+                    bits,
+                    &model,
+                    v,
+                    &Injected::new(seed, vec![]),
+                    &mut scratch,
+                );
+                ended_at_n += usize::from(cells.last() == Some(&(bits as u64 - 1)));
+            }
+        }
+    }
+    assert!(
+        ended_at_n > 20,
+        "only {ended_at_n} walks ended exactly at n"
+    );
+    assert_eq!(
+        model_at(0.0, 0.5).0.bit_error_rate(model_at(0.0, 0.5).1),
+        0.0
+    );
+    assert_eq!(
+        model_at(1.0, 0.5).0.bit_error_rate(model_at(1.0, 0.5).1),
+        1.0
+    );
+}
+
+/// Uniforms within a few ulps of each threshold `q^k` where the gap changes,
+/// and of the edges of the band around it inside which the gap table defers
+/// to the exact logarithm, fed to the walk as its first draws.
+#[test]
+fn streamed_flip_words_survive_threshold_adversaries() {
+    let scale = (1u64 << 53) as f64;
+    let band = 1.0 / (1u64 << 36) as f64;
+    let mut scratch = Vec::new();
+    for p in [0.0446, 0.42, 0.999] {
+        let (model, v) = model_at(p, 0.5);
+        let ln_q = (-model.bit_error_rate(v)).ln_1p();
+        let mut words = Vec::new();
+        for k in 1..=120 {
+            let t = (f64::from(k) * ln_q).exp();
+            if t < 1e-5 {
+                break;
+            }
+            for edge in [t, t * (1.0 - band), t * (1.0 + band)] {
+                let m = (edge * scale) as u64;
+                words.extend((m - 3..=m + 3).map(raw_word));
+            }
+        }
+        let inserts: Vec<_> = (0u64..).zip(words).collect();
+        let bits = 1_000_000;
+        let cells = assert_streams_agree(
+            bits,
+            &model,
+            v,
+            &Injected::new(7, inserts.clone()),
+            &mut scratch,
+        );
+        assert!(
+            cells.len() > inserts.len(),
+            "every adversary is a gap draw (p {p})"
+        );
+    }
+}
+
+/// A die whose faulty cells far outnumber their mean: ten thousand
+/// injected draws just below 1 each give a gap of 0, so the first ten
+/// thousand cells are all faulty where about ten are expected. The
+/// streaming sampler sizes its scratch for the mean and must still agree.
+#[test]
+fn streamed_flip_words_survive_a_cell_count_far_above_its_mean() {
+    let (model, v) = model_at(1e-4, 0.5);
+    let near_one = raw_word((1 << 53) - 1);
+    let inserts = (0..10_000).map(|at| (at, near_one)).collect();
+    let cells = assert_streams_agree(
+        100_000,
+        &model,
+        v,
+        &Injected::new(9, inserts),
+        &mut Vec::new(),
+    );
+    assert!(
+        cells.len() > 10_000,
+        "the injected run made {} cells",
+        cells.len()
+    );
+}
+
+/// Zero-mantissa draws, which `sample_unit_open` redraws and which occur
+/// once in 2^53 draws, inserted where each redraw branch runs: inside the
+/// gap walk, as its last draw, in a cell's discarded uniform (twice in a
+/// row), and at the 64-cell chunk boundary of the flip stream, both as a
+/// uniform and as a flip draw (a zero mantissa is a flip).
+#[test]
+fn zero_mantissa_draws_are_redrawn_like_the_slow_path() {
+    let mut scratch = Vec::new();
+    // A dense tail walked with the gap table, and a sparse one walked with
+    // the certified logarithm.
+    for (p, bits) in [(0.42, 20_000usize), (1e-3, 300_000)] {
+        let (model, v) = model_at(p, 0.5);
+        let (_, cells) = scalar_flip_words(bits, &model, v, &mut Injected::new(3, vec![]));
+        let mut counter = Injected::new(3, vec![]);
+        sample_bernoulli_indices_into(bits, model.bit_error_rate(v), &mut counter, &mut Vec::new());
+        let walk = counter.drawn;
+        assert!(cells.len() > 70, "too few cells at p {p}");
+        let cell = |j: u64, flip: u64| walk + 2 * j + flip;
+        for positions in [
+            vec![5],
+            vec![walk - 1],
+            vec![cell(3, 0), cell(3, 0) + 1],
+            vec![cell(63, 1)],
+            vec![cell(64, 0)],
+            vec![5, walk, cell(10, 0) + 1, cell(63, 1) + 2],
+        ] {
+            let inserts = positions.into_iter().map(|at| (at, 0x7FF)).collect();
+            assert_streams_agree(bits, &model, v, &Injected::new(3, inserts), &mut scratch);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Random sizes, seeds and covered probabilities: the streaming sampler
+    /// and the scalar walk agree word for word and leave the generator in
+    /// the same place.
+    #[test]
+    fn streamed_flip_words_match_the_scalar_walk(
+        bits in 1usize..200_000,
+        which in 0usize..WALL_PROBABILITIES.len(),
+        seed in any::<u64>(),
+    ) {
+        let (model, v) = model_at(WALL_PROBABILITIES[which], 0.5);
+        assert_streams_agree(bits, &model, v, &Injected::new(seed, vec![]), &mut Vec::new());
+    }
 }
